@@ -5,22 +5,23 @@
 //!   α-filter keeps per-node Pareto sequences logarithmic, so growth should
 //!   be near-linear in the number of wPST vertices),
 //! * `selection_threads/*` — the same application across thread budgets
-//!   (independent wPST subtrees evaluated on scoped threads),
+//!   (the sequential DP at 1, the work-stealing scheduler above),
 //! * `selection_cache/*` — cold vs memoised selection,
 //! * `alpha_sweep/*` — the ablation for the `filter` spacing parameter,
 //! * `workload/*` — end-to-end selection on representative real benchmarks,
-//! * `selection_sched/*` — static chunking vs work stealing on balanced and
-//!   skewed wPSTs across thread budgets, written to `BENCH_selection.json`.
+//! * `selection_sched/*` — the sequential DP vs work stealing on balanced
+//!   and skewed wPSTs across thread budgets, written to
+//!   `BENCH_selection.json`.
 //!
 //! ```text
 //! cargo bench -p cayman-bench --bench selection            # full, writes BENCH_selection.json
-//! cargo bench -p cayman-bench --bench selection -- --smoke # CI smoke: scheduler equivalence only
+//! cargo bench -p cayman-bench --bench selection -- --smoke # CI smoke: steal == sequential fronts only
 //! ```
 
 use cayman::ir::builder::{FunctionBuilder, ModuleBuilder};
 use cayman::ir::{ArrayId, Type};
 use cayman::select::{run_selection_cached, CaymanModel, DesignCache};
-use cayman::{Framework, SchedKind, SelectOptions, Solution};
+use cayman::{Framework, SelectOptions, Solution};
 use cayman_bench::harness::{fmt_duration, run};
 use cayman_bench::json;
 use std::path::Path;
@@ -168,7 +169,7 @@ fn emit_nest(fb: &mut FunctionBuilder, x: ArrayId, y: ArrayId, seed: f64) {
 }
 
 /// Balanced wPST: 16 sibling functions, one heavy nest each — every root
-/// child costs the same, so static chunking already spreads the work well.
+/// child costs the same.
 fn balanced_app() -> cayman::ir::Module {
     let mut mb = ModuleBuilder::new("balanced");
     let arrays: Vec<_> = (0..16)
@@ -199,10 +200,9 @@ fn balanced_app() -> cayman::ir::Module {
 }
 
 /// Skewed wPST: one hot function holding 12 heavy nests plus 8 trivial
-/// siblings. Static chunking assigns the hot function — and with it almost
-/// all the work — to a single sibling chunk, so its nests are evaluated with
-/// only that chunk's slice of the thread budget; work stealing treats every
-/// nest as an independent task and spreads them over all workers.
+/// siblings. Almost all the work sits under one root child; work stealing
+/// treats every nest as an independent task and spreads them over all
+/// workers.
 fn skewed_app() -> cayman::ir::Module {
     let mut mb = ModuleBuilder::new("skewed");
     let x = mb.array("x", Type::F64, &[16, 8]);
@@ -249,45 +249,58 @@ fn fronts_identical(a: &[Solution], b: &[Solution]) -> bool {
         })
 }
 
-/// One `(threads, scheduler)` measurement on one shape.
-struct SchedPoint {
+/// One work-stealing measurement on one shape.
+struct StealPoint {
     threads: usize,
-    sched: &'static str,
     wall_s: f64,
     busy_s: f64,
     makespan_s: f64,
     balance: f64,
 }
 
-/// Scheduler comparison over one wPST shape.
+/// Sequential vs work stealing over one wPST shape.
 struct ShapeResult {
     shape: &'static str,
     wall_seq_s: f64,
-    points: Vec<SchedPoint>,
+    /// Thread CPU time of one sequential run: the work a parallel run
+    /// spreads over its workers.
+    cpu_seq_s: f64,
+    points: Vec<StealPoint>,
 }
 
 impl ShapeResult {
-    /// Modeled makespan of a `(threads, sched)` point, in seconds.
-    fn makespan(&self, threads: usize, sched: &str) -> f64 {
+    /// Modeled speedup of work stealing at `threads` over the sequential
+    /// DP: sequential CPU time over the modeled makespan.
+    fn modeled_speedup(&self, threads: usize) -> f64 {
         self.points
             .iter()
-            .find(|p| p.threads == threads && p.sched == sched)
-            .map(|p| p.makespan_s)
-            .unwrap_or(0.0)
+            .find(|p| p.threads == threads)
+            .map_or(0.0, |p| self.cpu_seq_s / p.makespan_s.max(1e-12))
     }
 }
 
-/// The tentpole's tracked benchmark: selection wall time and per-worker busy
-/// time on a balanced and a skewed wPST at 1/2/4/8 threads, under both the
-/// static splitter and the work-stealing scheduler. Every parallel run's
-/// front is asserted bit-identical to the sequential one.
+/// Thread CPU seconds of one call (the minimum over `reps` calls).
+fn cpu_seconds<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let c0 = cayman_obs::thread_cpu_nanos();
+            std::hint::black_box(f());
+            cayman_obs::thread_cpu_nanos().saturating_sub(c0) as f64 * 1e-9
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The tracked scheduler benchmark: selection wall time and per-worker busy
+/// time on a balanced and a skewed wPST, sequentially and under the
+/// work-stealing scheduler at 2/4/8 threads. Every parallel run's front is
+/// asserted bit-identical to the sequential one.
 ///
 /// Wall time only shows parallel speedup when the host has free cores; the
 /// *modeled* makespan (see [`cayman::SelectStats::makespan_seconds`]) —
-/// built from measured per-worker and per-task CPU time — compares
-/// scheduler quality even on a saturated or single-core host.
+/// built from measured per-worker and per-task CPU time — measures the
+/// scheduler even on a saturated or single-core host.
 fn bench_scheduler_comparison(smoke: bool) -> Vec<ShapeResult> {
-    println!("# selection_sched — static chunking vs work stealing (uncached)");
+    println!("# selection_sched — sequential DP vs work stealing (uncached)");
     let mut out = Vec::new();
     for (shape, module) in [("balanced", balanced_app()), ("skewed", skewed_app())] {
         let fw = Framework::from_module(module).expect("analyses");
@@ -299,6 +312,8 @@ fn bench_scheduler_comparison(smoke: bool) -> Vec<ShapeResult> {
             ..Default::default()
         };
         let reference = select_uncached(&fw, &seq_opts);
+        let reps = if smoke { 1 } else { 5 };
+        let cpu_seq_s = cpu_seconds(reps, || select_uncached(&fw, &seq_opts));
         let wall_seq_s = if smoke {
             let t0 = Instant::now();
             select_uncached(&fw, &seq_opts);
@@ -311,63 +326,58 @@ fn bench_scheduler_comparison(smoke: bool) -> Vec<ShapeResult> {
         };
         let mut points = Vec::new();
         for threads in [2usize, 4, 8] {
-            for sched in [SchedKind::Static, SchedKind::WorkSteal] {
-                let opts = SelectOptions {
-                    threads,
-                    sched,
-                    ..seq_opts.clone()
-                };
-                let label = format!("selection_sched/{shape}/{}x{threads}", sched.label());
-                let t0 = Instant::now();
-                let res = select_uncached(&fw, &opts);
-                let one_shot_s = t0.elapsed().as_secs_f64();
-                assert!(
-                    fronts_identical(&reference.pareto, &res.pareto),
-                    "{shape}: {sched:?} threads={threads} diverged from sequential"
+            let opts = SelectOptions {
+                threads,
+                ..seq_opts.clone()
+            };
+            let label = format!("selection_sched/{shape}/{}x{threads}", opts.sched.label());
+            let t0 = Instant::now();
+            let res = select_uncached(&fw, &opts);
+            let one_shot_s = t0.elapsed().as_secs_f64();
+            assert!(
+                fronts_identical(&reference.pareto, &res.pareto),
+                "{label} diverged from sequential"
+            );
+            assert_eq!(res.visited, reference.visited, "{label}");
+            assert_eq!(
+                res.configs_evaluated, reference.configs_evaluated,
+                "{label}"
+            );
+            let wall_s = if smoke {
+                one_shot_s
+            } else {
+                run(&label, || select_uncached(&fw, &opts)).min_s
+            };
+            if threads == 8 {
+                println!(
+                    "{:<36} {}x8: model {} + combine {}, max task {}, busy {}",
+                    "",
+                    res.stats.scheduler(),
+                    fmt_duration(res.stats.model_seconds()),
+                    fmt_duration(res.stats.combine_seconds()),
+                    fmt_duration(res.stats.max_task_nanos as f64 * 1e-9),
+                    fmt_duration(res.stats.busy_seconds()),
                 );
-                assert_eq!(res.visited, reference.visited, "{label}");
-                assert_eq!(
-                    res.configs_evaluated, reference.configs_evaluated,
-                    "{label}"
-                );
-                let wall_s = if smoke {
-                    one_shot_s
-                } else {
-                    run(&label, || select_uncached(&fw, &opts)).min_s
-                };
-                if threads == 8 {
-                    println!(
-                        "{:<36} {}x8: model {} + combine {}, max task {}, busy {}",
-                        "",
-                        res.stats.scheduler,
-                        fmt_duration(res.stats.model_seconds()),
-                        fmt_duration(res.stats.combine_seconds()),
-                        fmt_duration(res.stats.max_task_nanos as f64 * 1e-9),
-                        fmt_duration(res.stats.busy_seconds()),
-                    );
-                }
-                points.push(SchedPoint {
-                    threads,
-                    sched: res.stats.scheduler,
-                    wall_s,
-                    busy_s: res.stats.busy_seconds(),
-                    makespan_s: res.stats.makespan_seconds(),
-                    balance: res.stats.load_balance(),
-                });
             }
+            points.push(StealPoint {
+                threads,
+                wall_s,
+                busy_s: res.stats.busy_seconds(),
+                makespan_s: res.stats.makespan_seconds(),
+                balance: res.stats.load_balance(),
+            });
         }
         let result = ShapeResult {
             shape,
             wall_seq_s,
+            cpu_seq_s,
             points,
         };
-        let (st, wk) = (result.makespan(8, "static"), result.makespan(8, "steal"));
         println!(
-            "{:<36} modeled makespan @8 threads: static {} vs steal {} ({:.2}x)",
+            "{:<36} sequential CPU {}, modeled steal speedup @8 threads {:.2}x",
             "",
-            fmt_duration(st),
-            fmt_duration(wk),
-            st / wk.max(1e-12)
+            fmt_duration(result.cpu_seq_s),
+            result.modeled_speedup(8)
         );
         out.push(result);
     }
@@ -411,10 +421,11 @@ fn sched_json(results: &[ShapeResult], obs_disabled_ns: f64) -> String {
         o.u64("host_parallelism", host as u64);
         o.str(
             "note",
-            "wall_s shows no parallel speedup when the host has fewer free cores than \
-             threads; makespan_s is the modeled parallel completion time from measured CPU time \
-             (static: the busiest thread, including the caller's serial spine; steal: the greedy \
-             bound max(total work / workers, most expensive single task))",
+            "every run is the work-stealing scheduler, against the sequential DP; wall_s shows \
+             no parallel speedup when the host has fewer free cores than threads; makespan_s is \
+             the modeled parallel completion time from measured CPU time, the greedy bound \
+             max(total work / workers, most expensive single task); modeled speedup is \
+             cpu_seq_s / makespan_s",
         );
         o.f64("obs_disabled_span_ns", obs_disabled_ns, 1);
         o.arr("shapes", |a| {
@@ -422,11 +433,11 @@ fn sched_json(results: &[ShapeResult], obs_disabled_ns: f64) -> String {
                 a.obj(|o| {
                     o.str("shape", r.shape);
                     o.f64("wall_seq_s", r.wall_seq_s, 6);
+                    o.f64("cpu_seq_s", r.cpu_seq_s, 6);
                     o.arr("runs", |a| {
                         for p in &r.points {
                             a.obj(|o| {
                                 o.u64("threads", p.threads as u64);
-                                o.str("sched", p.sched);
                                 o.f64("wall_s", p.wall_s, 6);
                                 o.f64("busy_s", p.busy_s, 6);
                                 o.f64("makespan_s", p.makespan_s, 6);
@@ -439,8 +450,11 @@ fn sched_json(results: &[ShapeResult], obs_disabled_ns: f64) -> String {
         });
         o.obj("modeled_speedup_at_8_threads", |o| {
             for r in results {
-                let ratio = r.makespan(8, "static") / r.makespan(8, "steal").max(1e-12);
-                o.f64(&format!("{}_steal_vs_static", r.shape), ratio, 2);
+                o.f64(
+                    &format!("{}_steal_vs_seq", r.shape),
+                    r.modeled_speedup(8),
+                    2,
+                );
             }
         });
     })
@@ -456,7 +470,7 @@ fn main() {
             "disabled tracing costs {obs_ns:.0} ns per span — not near-zero"
         );
         println!(
-            "smoke mode: fronts bit-identical across schedulers and thread budgets; \
+            "smoke mode: work-stealing fronts bit-identical to sequential at every thread budget; \
              BENCH_selection.json left untouched"
         );
         return;
@@ -468,19 +482,6 @@ fn main() {
     bench_real_workloads();
     let results = bench_scheduler_comparison(false);
     let obs_ns = measure_obs_disabled_ns();
-    for r in &results {
-        let ratio = r.makespan(8, "static") / r.makespan(8, "steal").max(1e-12);
-        if r.shape == "skewed" && ratio < 1.5 {
-            eprintln!(
-                "WARNING: skewed steal-vs-static modeled speedup {ratio:.2}x below the 1.5x target"
-            );
-        }
-        if r.shape == "balanced" && ratio < 0.95 {
-            eprintln!(
-                "WARNING: balanced work stealing modeled {ratio:.2}x vs static (target: within 5%)"
-            );
-        }
-    }
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_selection.json");
     std::fs::write(&path, sched_json(&results, obs_ns)).expect("write BENCH_selection.json");
     println!("wrote {}", path.display());

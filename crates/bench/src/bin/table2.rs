@@ -177,12 +177,8 @@ fn main() {
     println!();
     println!("selection stats (warm re-runs, aggregated): {}", avg.stats);
     println!(
-        "selection scheduler: {} with {} thread(s) per run (steer with CAYMAN_SELECT_SCHED=static|steal and CAYMAN_SELECT_THREADS)",
-        if avg.stats.scheduler.is_empty() {
-            "seq"
-        } else {
-            avg.stats.scheduler
-        },
+        "selection scheduler: {} with {} thread(s) per run (steer with CAYMAN_SELECT_THREADS: 1 runs the sequential DP, more the work-stealing scheduler)",
+        avg.stats.scheduler(),
         avg.stats.threads.max(1)
     );
     println!(

@@ -13,8 +13,8 @@
 //!    programs, the exact same error message.
 //! 2. **`-O0` vs `-O1` normalization** — return-value bits and final memory
 //!    cells (counts and cycles legitimately change; observables must not).
-//! 3. **static vs work-steal scheduler × {2, 3, 8} threads** — the selection
-//!    Pareto front (area and saved-seconds bits per solution), the visited
+//! 3. **sequential vs work-steal scheduler × {2, 3, 8} threads** — the
+//!    selection Pareto front (area and saved-seconds bits per solution), the visited
 //!    vertex count, and the merged best solution's area accounting.
 //! 4. **`-O1` vs `-O2` staging** — the `-O2` application executes the
 //!    `-O1` body (the extra canonicalization lives in analysis shadows), so
@@ -33,9 +33,7 @@ use cayman::ir::transform::{normalize, OptLevel};
 use cayman::ir::Module;
 use cayman::merging::merge_solution;
 use cayman::select::run_selection;
-use cayman::{
-    AnalyseOptions, Application, Edit, Framework, IncrementalApp, SchedKind, SelectOptions,
-};
+use cayman::{AnalyseOptions, Application, Edit, Framework, IncrementalApp, SelectOptions};
 use std::fmt;
 
 /// Runaway guard: generated programs terminate by construction, so the
@@ -175,7 +173,8 @@ pub fn check_module(m: &Module) -> Result<bool, DiffFailure> {
         }
     }
 
-    // Surface 3: scheduler × thread cross on selection and merging.
+    // Surface 3: sequential reference vs work stealing × threads, on
+    // selection and merging.
     let fw = match Framework::from_module(m.clone()) {
         Ok(fw) => fw,
         Err(e) => {
@@ -232,80 +231,77 @@ pub fn check_module(m: &Module) -> Result<bool, DiffFailure> {
             fail("o1-vs-o2", msg)?;
         }
     }
-    for sched in [SchedKind::Static, SchedKind::WorkSteal] {
-        for threads in [2usize, 3, 8] {
-            let opts = SelectOptions {
-                threads,
-                sched,
-                ..SelectOptions::default()
-            };
-            let res = fw.select(&opts);
-            let cfg = format!("{sched:?}×{threads}");
-            if res.pareto.len() != reference.pareto.len() {
-                fail(
-                    "select-cross",
-                    format!(
-                        "{cfg}: front size {} vs reference {}",
-                        res.pareto.len(),
-                        reference.pareto.len()
-                    ),
-                )?;
-            }
-            for (i, (a, b)) in res.pareto.iter().zip(&reference.pareto).enumerate() {
-                if a.area.to_bits() != b.area.to_bits()
-                    || a.saved_seconds.to_bits() != b.saved_seconds.to_bits()
-                    || a.kernels.len() != b.kernels.len()
-                {
-                    fail(
-                        "select-cross",
-                        format!(
-                            "{cfg}: front entry {i} diverges: \
-                             (area {}, saved {}, kernels {}) vs (area {}, saved {}, kernels {})",
-                            a.area,
-                            a.saved_seconds,
-                            a.kernels.len(),
-                            b.area,
-                            b.saved_seconds,
-                            b.kernels.len()
-                        ),
-                    )?;
-                }
-            }
-            if res.visited != reference.visited {
-                fail(
-                    "select-cross",
-                    format!(
-                        "{cfg}: visited {} vs reference {}",
-                        res.visited, reference.visited
-                    ),
-                )?;
-            }
-            let merged = fw.merge(res.best_under(f64::INFINITY));
-            if merged.area_before.to_bits() != ref_merge.area_before.to_bits()
-                || merged.area_after.to_bits() != ref_merge.area_after.to_bits()
-                || merged.merges != ref_merge.merges
-                || merged.reusable.len() != ref_merge.reusable.len()
-                || merged.units.len() != ref_merge.units.len()
+    for threads in [2usize, 3, 8] {
+        let opts = SelectOptions {
+            threads,
+            ..SelectOptions::default()
+        };
+        let res = fw.select(&opts);
+        let cfg = format!("steal×{threads}");
+        if res.pareto.len() != reference.pareto.len() {
+            fail(
+                "select-cross",
+                format!(
+                    "{cfg}: front size {} vs reference {}",
+                    res.pareto.len(),
+                    reference.pareto.len()
+                ),
+            )?;
+        }
+        for (i, (a, b)) in res.pareto.iter().zip(&reference.pareto).enumerate() {
+            if a.area.to_bits() != b.area.to_bits()
+                || a.saved_seconds.to_bits() != b.saved_seconds.to_bits()
+                || a.kernels.len() != b.kernels.len()
             {
                 fail(
-                    "merge-cross",
+                    "select-cross",
                     format!(
-                        "{cfg}: merged solution diverges: \
-                         (before {}, after {}, merges {}, reusable {}, units {}) vs \
-                         (before {}, after {}, merges {}, reusable {}, units {})",
-                        merged.area_before,
-                        merged.area_after,
-                        merged.merges,
-                        merged.reusable.len(),
-                        merged.units.len(),
-                        ref_merge.area_before,
-                        ref_merge.area_after,
-                        ref_merge.merges,
-                        ref_merge.reusable.len(),
-                        ref_merge.units.len()
+                        "{cfg}: front entry {i} diverges: \
+                         (area {}, saved {}, kernels {}) vs (area {}, saved {}, kernels {})",
+                        a.area,
+                        a.saved_seconds,
+                        a.kernels.len(),
+                        b.area,
+                        b.saved_seconds,
+                        b.kernels.len()
                     ),
                 )?;
             }
+        }
+        if res.visited != reference.visited {
+            fail(
+                "select-cross",
+                format!(
+                    "{cfg}: visited {} vs reference {}",
+                    res.visited, reference.visited
+                ),
+            )?;
+        }
+        let merged = fw.merge(res.best_under(f64::INFINITY));
+        if merged.area_before.to_bits() != ref_merge.area_before.to_bits()
+            || merged.area_after.to_bits() != ref_merge.area_after.to_bits()
+            || merged.merges != ref_merge.merges
+            || merged.reusable.len() != ref_merge.reusable.len()
+            || merged.units.len() != ref_merge.units.len()
+        {
+            fail(
+                "merge-cross",
+                format!(
+                    "{cfg}: merged solution diverges: \
+                     (before {}, after {}, merges {}, reusable {}, units {}) vs \
+                     (before {}, after {}, merges {}, reusable {}, units {})",
+                    merged.area_before,
+                    merged.area_after,
+                    merged.merges,
+                    merged.reusable.len(),
+                    merged.units.len(),
+                    ref_merge.area_before,
+                    ref_merge.area_after,
+                    ref_merge.merges,
+                    ref_merge.reusable.len(),
+                    ref_merge.units.len()
+                ),
+            )?;
         }
     }
     Ok(true)

@@ -407,11 +407,11 @@ pub fn average_row(rows: &[Table2Row]) -> Table2Row {
             stats.configs_evaluated += s.configs_evaluated;
             stats.cache_hits += s.cache_hits;
             stats.cache_misses += s.cache_misses;
+            stats.disk_hits += s.disk_hits;
             stats.model_nanos += s.model_nanos;
             stats.combine_nanos += s.combine_nanos;
             stats.wall_nanos += s.wall_nanos;
             stats.threads = stats.threads.max(s.threads);
-            stats.scheduler = s.scheduler;
             stats
                 .worker_busy_nanos
                 .extend_from_slice(&s.worker_busy_nanos);

@@ -724,9 +724,9 @@ impl IncrementalApp {
     /// Analyses and selects, reusing cached designs and per-function
     /// subtree fronts for clean wPST subtrees.
     ///
-    /// The selection key ignores `opts.threads`/`opts.sched` (the front is
-    /// thread-invariant); re-selection always runs the sequential reuse
-    /// path.
+    /// The selection key ignores `opts.threads` and `opts.sched`: the
+    /// front is the same on every engine and thread budget, and
+    /// re-selection always runs the sequential front-reuse path.
     ///
     /// # Errors
     ///

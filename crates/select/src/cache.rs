@@ -246,7 +246,12 @@ impl DesignCache {
     /// stripe is locked, and only for the probe itself. On a memory miss
     /// the backing store (when attached) is consulted and a disk hit is
     /// promoted into the stripe.
-    pub fn lookup(&self, key: &DesignKey) -> Option<Arc<Vec<AcceleratorDesign>>> {
+    ///
+    /// The flag is `true` when this call promoted the designs from the
+    /// backing store, so a caller can count its own disk hits: the
+    /// lifetime [`CacheStats::disk_hits`] mixes every caller sharing the
+    /// cache.
+    pub fn lookup(&self, key: &DesignKey) -> Option<(Arc<Vec<AcceleratorDesign>>, bool)> {
         let stripe = &self.stripes[stripe_of(key)];
         let found = {
             let map = stripe.map.lock().expect("design cache poisoned");
@@ -254,7 +259,7 @@ impl DesignCache {
         };
         if let Some(designs) = found {
             stripe.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(designs);
+            return Some((designs, false));
         }
         stripe.misses.fetch_add(1, Ordering::Relaxed);
         let backing = self.backing.as_ref()?;
@@ -268,7 +273,7 @@ impl DesignCache {
                     .lock()
                     .expect("design cache poisoned")
                     .insert(key.clone(), Arc::clone(&arc));
-                Some(arc)
+                Some((arc, true))
             }
             None => {
                 self.disk_misses.fetch_add(1, Ordering::Relaxed);
@@ -389,8 +394,9 @@ mod tests {
         assert!(cache.is_empty());
         assert!(cache.lookup(&key(0, 1)).is_none());
         cache.insert(key(0, 1), Vec::new());
-        let hit = cache.lookup(&key(0, 1)).expect("hit");
+        let (hit, from_backing) = cache.lookup(&key(0, 1)).expect("hit");
         assert!(hit.is_empty());
+        assert!(!from_backing, "no backing store attached");
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.totals(), (1, 1));
         // distinct candidate → distinct entry
@@ -523,9 +529,11 @@ mod tests {
         // entry promoted so the second lookup never reaches the store
         let mut fresh = DesignCache::new();
         fresh.set_backing(Arc::clone(&store) as Arc<dyn DesignStoreBackend>);
-        assert!(fresh.lookup(&key(0, 1)).is_some(), "disk hit serves lookup");
+        let (_, promoted) = fresh.lookup(&key(0, 1)).expect("disk hit serves lookup");
+        assert!(promoted, "the caller sees its own disk hit");
         let loads_after_promote = store.loads.load(Ordering::Relaxed);
-        assert!(fresh.lookup(&key(0, 1)).is_some());
+        let (_, promoted) = fresh.lookup(&key(0, 1)).expect("memory hit");
+        assert!(!promoted, "a memory hit is not a disk hit");
         assert_eq!(
             store.loads.load(Ordering::Relaxed),
             loads_after_promote,

@@ -18,11 +18,12 @@
 //!
 //! Two engineering layers sit on top of the paper's algorithm:
 //!
-//! * **Parallel subtrees** — sibling wPST subtrees are independent DP
-//!   problems, so with [`SelectOptions::threads`] > 1 they are evaluated on
-//!   scoped worker threads (`std::thread::scope`; no external dependencies).
-//!   Child results are always combined *sequentially in child order*, so the
-//!   Pareto front is bit-identical to the sequential run.
+//! * **Parallel subtrees** — with [`SelectOptions::threads`] = 1 the DP is
+//!   the plain recursion in `Engine::dp`; with more threads the
+//!   work-stealing scheduler in [`mod@crate::sched`] runs the model calls as
+//!   tasks. Both engines fold child fronts through the one
+//!   `Engine::fold`, strictly in child order, so the Pareto front is
+//!   bit-identical for every thread budget.
 //! * **Design memoisation** — `accel(v, R)` is pure given the analysed
 //!   application, so its results are memoised in a [`DesignCache`] keyed by
 //!   model identity × candidate identity. Selection re-runs over the same
@@ -35,7 +36,7 @@
 use crate::cache::{DesignCache, DesignKey, ModelId};
 use crate::pareto::{combine, filter, pareto, Solution};
 use crate::sched::{self, SchedKind};
-use crate::stats::{thread_cpu_nanos, AtomicStats, SelectStats};
+use crate::stats::{AtomicStats, SelectStats};
 use cayman_analysis::profile::Profile;
 use cayman_analysis::wpst::{Wpst, WpstKind, WpstNodeId};
 use cayman_hls::design::{generate_designs, AcceleratorDesign};
@@ -50,8 +51,8 @@ use std::sync::Arc;
 /// frameworks (NOVIA, QsCores) plug in their own restricted models so the
 /// same Algorithm 1 selection machinery drives all three comparisons.
 ///
-/// Models must be [`Sync`]: the parallel DP invokes them from scoped worker
-/// threads. Every bundled model is a stateless value, so this is free.
+/// Models must be [`Sync`]: the work-stealing DP invokes them from scoped
+/// worker threads. Every bundled model is a stateless value, so this is free.
 pub trait AccelModel: Sync {
     /// Configurations for accelerating `cand` as one extracted kernel.
     fn designs(&self, inputs: &FuncInputs<'_>, cand: &Candidate) -> Vec<AcceleratorDesign>;
@@ -92,14 +93,12 @@ pub struct SelectOptions {
     /// `prune` threshold: minimum fraction of total program time a region
     /// must account for to stay in the search.
     pub prune_share: f64,
-    /// Worker-thread budget for evaluating independent wPST subtrees.
-    /// `1` (the default) runs fully sequentially; the Pareto front is
-    /// identical for every value.
+    /// Worker-thread budget. `1` (the default) runs the sequential DP;
+    /// more runs the work-stealing scheduler on that many workers. The
+    /// Pareto front is identical for every value.
     pub threads: usize,
-    /// Which parallel engine to use when `threads > 1`: work-stealing
-    /// tasks (the default) or the static sibling-chunk splitter. Both are
-    /// bit-identical to sequential; the default honours the
-    /// `CAYMAN_SELECT_SCHED` environment variable (`static` / `steal`).
+    /// The parallel engine used when `threads > 1`. Work stealing is the
+    /// only one; the field is retained for callers that name it.
     pub sched: SchedKind,
 }
 
@@ -110,20 +109,7 @@ impl Default for SelectOptions {
             alpha: 1.1,
             prune_share: 0.001,
             threads: 1,
-            sched: SchedKind::from_env(),
-        }
-    }
-}
-
-impl SelectOptions {
-    /// Default options with the thread budget set to the machine's available
-    /// parallelism.
-    pub fn parallel() -> Self {
-        SelectOptions {
-            threads: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            ..Default::default()
+            sched: SchedKind::WorkSteal,
         }
     }
 }
@@ -167,7 +153,8 @@ impl SelectionResult {
 ///
 /// `inputs` must hold one [`FuncInputs`] per module function (indexed by
 /// `FuncId`). Designs are memoised in a run-local cache; to share memoised
-/// designs across runs use [`run_selection_cached`].
+/// designs across runs, or to plug in another model, use
+/// [`run_selection_cached`].
 pub fn run_selection(
     module: &Module,
     wpst: &Wpst,
@@ -176,21 +163,8 @@ pub fn run_selection(
     opts: &SelectOptions,
 ) -> SelectionResult {
     let model = CaymanModel(opts.model.clone());
-    run_selection_with(module, wpst, profile, inputs, opts, &model)
-}
-
-/// Runs Algorithm 1 with a custom accelerator model (used by the baseline
-/// frameworks), memoising designs in a run-local cache.
-pub fn run_selection_with(
-    module: &Module,
-    wpst: &Wpst,
-    profile: &Profile,
-    inputs: &[FuncInputs<'_>],
-    opts: &SelectOptions,
-    model: &dyn AccelModel,
-) -> SelectionResult {
     let cache = DesignCache::new();
-    run_selection_cached(module, wpst, profile, inputs, opts, model, &cache)
+    run_selection_cached(module, wpst, profile, inputs, opts, &model, &cache)
 }
 
 /// Runs Algorithm 1 with an externally owned [`DesignCache`], so repeated
@@ -222,27 +196,12 @@ pub fn run_selection_cached(
         stats: AtomicStats::default(),
     };
     let threads = opts.threads.max(1);
-    let f_root = if threads > 1 && opts.sched == SchedKind::WorkSteal {
+    let f_root = if threads > 1 {
         sched::run_work_stealing(&engine, threads)
-    } else if threads > 1 {
-        // The caller thread carries the static splitter's serial spine —
-        // root-level combines and chain vertices — which is on the critical
-        // path, so record it alongside the chunk workers' busy entries.
-        let cpu0 = thread_cpu_nanos();
-        let f = engine.dp(wpst.root(), threads);
-        engine
-            .stats
-            .record_worker_busy(thread_cpu_nanos().saturating_sub(cpu0));
-        f
     } else {
-        engine.dp(wpst.root(), threads)
+        engine.dp(wpst.root())
     };
-    let scheduler = if threads <= 1 {
-        "seq"
-    } else {
-        opts.sched.label()
-    };
-    let stats = engine.stats.snapshot(wall.finish(), threads, scheduler);
+    let stats = engine.stats.snapshot(wall.finish(), threads);
     SelectionResult {
         pareto: f_root,
         visited: stats.visited,
@@ -339,10 +298,10 @@ fn hash_u64_slice(vals: &[u64]) -> u64 {
 
 /// Runs Algorithm 1 reusing memoised per-function-subtree fronts.
 ///
-/// Identical in result to [`run_selection_cached`] — the root fold combines
-/// child fronts strictly in child order exactly as `DP(root)` does — but
-/// each root-child subtree is answered from `fronts` when its [`FrontKey`]
-/// matches, skipping the subtree's DP *and* every model call under it.
+/// Identical in result to [`run_selection_cached`] — the root goes through
+/// the same child-order fold as `DP(root)` — but each root-child subtree is
+/// answered from `fronts` when its [`FrontKey`] matches, skipping the
+/// subtree's DP *and* every model call under it.
 /// This is the incremental re-selection entry: after an edit, only the
 /// edited function's subtree (plus any function whose profile or vertex
 /// numbering shifted) misses.
@@ -374,11 +333,9 @@ pub fn run_selection_with_fronts(
         stats: AtomicStats::default(),
     };
     let root = wpst.root();
-    let f_root = if profile.share(root) < opts.prune_share {
-        AtomicStats::add_usize(&engine.stats.pruned, 1);
-        vec![Solution::empty()]
+    let f_root = if let Some(f) = engine.leaf_front(root) {
+        f
     } else {
-        AtomicStats::add_usize(&engine.stats.visited, 1);
         let arrays_fp = cayman_ir::fingerprint_arrays(&module.arrays);
         let model_id = model.cache_id();
         let children = &wpst.node(root).children;
@@ -407,7 +364,7 @@ pub fn run_selection_with_fronts(
                 child_fronts.push(Arc::clone(hit));
                 continue;
             }
-            let front = Arc::new(engine.dp(u, 1));
+            let front = Arc::new(engine.dp(u));
             if let Some(key) = key {
                 fronts.misses += 1;
                 cayman_obs::counter("select.front.miss", 1);
@@ -415,18 +372,12 @@ pub fn run_selection_with_fronts(
             }
             child_fronts.push(front);
         }
-        // Combine strictly in child order, exactly as `Engine::dp` folds the
-        // root — the root vertex is never bb or ctrl-flow, so the fold is
-        // the whole of `DP(root)`.
-        let t0 = cayman_obs::timed("select.combine");
-        let mut f = vec![Solution::empty()];
-        for fu in &child_fronts {
-            f = combine(&f, fu, opts.alpha);
-        }
-        AtomicStats::add_u64(&engine.stats.combine_nanos, t0.finish());
-        f
+        engine.fold(
+            child_fronts.iter().map(|f| f.as_slice()),
+            engine.own_accel(root),
+        )
     };
-    let stats = engine.stats.snapshot(wall.finish(), 1, "seq");
+    let stats = engine.stats.snapshot(wall.finish(), 1);
     SelectionResult {
         pareto: f_root,
         visited: stats.visited,
@@ -447,83 +398,66 @@ pub(crate) struct Engine<'a> {
 }
 
 impl Engine<'_> {
-    /// The DP over vertex `v` with a budget of `threads` worker threads for
-    /// its subtree.
-    fn dp(&self, v: WpstNodeId, threads: usize) -> Vec<Solution> {
-        // prune(v, R): not a hotspot → empty Pareto set.
-        if self.profile.share(v) < self.opts.prune_share {
-            AtomicStats::add_usize(&self.stats.pruned, 1);
-            return vec![Solution::empty()];
+    /// `DP(v)`: the sequential recursion over `v`'s subtree.
+    fn dp(&self, v: WpstNodeId) -> Vec<Solution> {
+        if let Some(f) = self.leaf_front(v) {
+            return f;
         }
-        AtomicStats::add_usize(&self.stats.visited, 1);
-
-        if self.wpst.is_bb(v) {
-            return filter(pareto(self.accel(v)), self.opts.alpha);
-        }
-
-        let children = &self.wpst.node(v).children;
-        let child_fronts = self.dp_children(children, threads);
-
-        // Combine strictly in child order — this keeps the float summation
-        // order, and therefore the front, identical across thread budgets.
-        let t0 = cayman_obs::timed("select.combine");
-        let mut f = vec![Solution::empty()];
-        for fu in &child_fronts {
-            f = combine(&f, fu, self.opts.alpha);
-        }
-        AtomicStats::add_u64(&self.stats.combine_nanos, t0.finish());
-
-        if self.wpst.is_ctrl_flow(v) {
-            let mut all = f;
-            all.extend(self.accel(v));
-            let t1 = cayman_obs::timed("select.combine");
-            f = filter(pareto(all), self.opts.alpha);
-            AtomicStats::add_u64(&self.stats.combine_nanos, t1.finish());
-        }
-        f
+        let child_fronts: Vec<Vec<Solution>> = self
+            .wpst
+            .node(v)
+            .children
+            .iter()
+            .map(|&u| self.dp(u))
+            .collect();
+        self.fold(child_fronts.iter().map(Vec::as_slice), self.own_accel(v))
     }
 
-    /// Evaluates all children of a vertex, in order, distributing the thread
-    /// budget over contiguous chunks of siblings.
-    fn dp_children(&self, children: &[WpstNodeId], threads: usize) -> Vec<Vec<Solution>> {
-        if children.len() == 1 {
-            // A chain vertex: push the whole budget down.
-            return vec![self.dp(children[0], threads)];
+    /// `F[v]` when it needs no child fold: the empty front for a pruned
+    /// vertex (`prune(v, R)`, counted as pruned) and
+    /// `filter(pareto(accel(v, R)))` for a `bb` leaf. Returns `None` for an
+    /// internal vertex. Every vertex that is not pruned is counted as
+    /// visited here, once.
+    pub(crate) fn leaf_front(&self, v: WpstNodeId) -> Option<Vec<Solution>> {
+        if self.profile.share(v) < self.opts.prune_share {
+            AtomicStats::add_usize(&self.stats.pruned, 1);
+            return Some(vec![Solution::empty()]);
         }
-        if threads <= 1 || children.len() < 2 {
-            return children.iter().map(|&u| self.dp(u, 1)).collect();
+        AtomicStats::add_usize(&self.stats.visited, 1);
+        self.wpst
+            .is_bb(v)
+            .then(|| filter(pareto(self.accel(v)), self.opts.alpha))
+    }
+
+    /// The raw `accel(v, R)` designs an internal vertex adds to its own
+    /// fold: `Some` for a `ctrl-flow` vertex, `None` otherwise.
+    pub(crate) fn own_accel(&self, v: WpstNodeId) -> Option<Vec<Solution>> {
+        self.wpst.is_ctrl_flow(v).then(|| self.accel(v))
+    }
+
+    /// The one child-order fold of an internal vertex:
+    /// `F[v] ← filter(F[v] ⊗ F[u])` over `child_fronts` strictly in child
+    /// order, then for a `ctrl-flow` vertex `filter(F[v] ∪ pareto(own))`.
+    /// The sequential DP, the work-stealing workers and the front-reuse path
+    /// all fold here, so the float summation order — and therefore the
+    /// front — is the same for every engine and thread budget.
+    pub(crate) fn fold<'s>(
+        &self,
+        child_fronts: impl IntoIterator<Item = &'s [Solution]>,
+        own: Option<Vec<Solution>>,
+    ) -> Vec<Solution> {
+        let alpha = self.opts.alpha;
+        let t0 = cayman_obs::timed("select.combine");
+        let mut f = vec![Solution::empty()];
+        for fu in child_fronts {
+            f = combine(&f, fu, alpha);
         }
-        // Spawn at most `threads` workers; each takes a contiguous chunk of
-        // siblings (preserving order). Uneven chunking can materialise fewer
-        // chunks than `workers`, so the budget is split over the *actual*
-        // chunk count — the old `threads / workers` divided by the wrong
-        // denominator and silently dropped the remainder.
-        let workers = threads.min(children.len());
-        let chunk_size = children.len().div_ceil(workers);
-        let nchunks = children.len().div_ceil(chunk_size);
-        let budgets = split_budget(threads, nchunks);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = children
-                .chunks(chunk_size)
-                .zip(&budgets)
-                .map(|(chunk, &budget)| {
-                    scope.spawn(move || {
-                        let cpu0 = thread_cpu_nanos();
-                        let fronts = chunk
-                            .iter()
-                            .map(|&u| self.dp(u, budget))
-                            .collect::<Vec<_>>();
-                        self.stats
-                            .record_worker_busy(thread_cpu_nanos().saturating_sub(cpu0));
-                        fronts
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("selection worker panicked"))
-                .collect()
-        })
+        if let Some(own) = own {
+            f.extend(own);
+            f = filter(pareto(f), alpha);
+        }
+        AtomicStats::add_u64(&self.stats.combine_nanos, t0.finish());
+        f
     }
 
     /// `accel(v, R)`: configurations for accelerating vertex `v` as a single
@@ -568,8 +502,11 @@ impl Engine<'_> {
             candidate: cand.key(),
         });
         if let Some(key) = &key {
-            if let Some(hit) = self.cache.lookup(key) {
+            if let Some((hit, from_backing)) = self.cache.lookup(key) {
                 AtomicStats::add_u64(&self.stats.cache_hits, 1);
+                if from_backing {
+                    AtomicStats::add_u64(&self.stats.disk_hits, 1);
+                }
                 cayman_obs::counter("select.cache.hit", 1);
                 return hit;
             }
@@ -598,16 +535,6 @@ impl Engine<'_> {
             None => Arc::new(designs),
         }
     }
-}
-
-/// Splits a thread budget of `threads` over `nchunks` workers so that the
-/// whole budget is used: every worker gets at least `threads / nchunks`, and
-/// the first `threads % nchunks` workers get one more. The sum is always
-/// exactly `threads`, and every entry is ≥ 1 whenever `threads >= nchunks`.
-pub(crate) fn split_budget(threads: usize, nchunks: usize) -> Vec<usize> {
-    let base = threads / nchunks;
-    let rem = threads % nchunks;
-    (0..nchunks).map(|i| base + usize::from(i < rem)).collect()
 }
 
 #[cfg(test)]
@@ -862,58 +789,34 @@ mod tests {
             &inputs,
             &SelectOptions::default(),
         );
-        assert_eq!(seq.stats.scheduler, "seq");
+        assert_eq!(seq.stats.scheduler(), "seq");
         assert!(seq.stats.worker_busy_nanos.is_empty());
-        for sched in [SchedKind::Static, SchedKind::WorkSteal] {
-            for threads in [2usize, 3, 8] {
-                let opts = SelectOptions {
-                    threads,
-                    sched,
-                    ..Default::default()
-                };
-                let par = run_selection(&app.module, &app.wpst, &app.profile, &inputs, &opts);
-                assert!(
-                    fronts_identical(&seq.pareto, &par.pareto),
-                    "{sched:?} threads={threads} changed the front"
-                );
-                assert_eq!(par.visited, seq.visited, "{sched:?} threads={threads}");
-                assert_eq!(par.stats.pruned, seq.stats.pruned);
-                assert_eq!(par.configs_evaluated, seq.configs_evaluated);
-                assert_eq!(par.stats.threads, threads);
-                assert_eq!(par.stats.scheduler, sched.label());
-                assert!(
-                    !par.stats.worker_busy_nanos.is_empty(),
-                    "{sched:?} spawned no workers"
-                );
-                // A repeated run must also be bit-identical: no steal
-                // interleaving or chunk assignment may leak into the front.
-                let again = run_selection(&app.module, &app.wpst, &app.profile, &inputs, &opts);
-                assert!(
-                    fronts_identical(&par.pareto, &again.pareto),
-                    "{sched:?} threads={threads} is not reproducible"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn split_budget_spends_the_whole_thread_budget() {
-        // The old splitter computed (threads / workers).max(1) with the
-        // worker count instead of the materialised chunk count: 8 threads
-        // over 9 children → chunk_size 2 → 5 chunks, but budget 1 each,
-        // silently dropping 3 threads.
-        assert_eq!(split_budget(8, 5), vec![2, 2, 2, 1, 1]);
-        assert_eq!(split_budget(8, 3), vec![3, 3, 2]);
-        assert_eq!(split_budget(4, 4), vec![1, 1, 1, 1]);
-        assert_eq!(split_budget(7, 2), vec![4, 3]);
-        for threads in 1..24usize {
-            for nchunks in 1..=threads {
-                let budgets = split_budget(threads, nchunks);
-                assert_eq!(budgets.len(), nchunks);
-                assert_eq!(budgets.iter().sum::<usize>(), threads, "budget lost");
-                assert!(budgets.iter().all(|&b| b >= 1));
-                assert!(budgets.windows(2).all(|w| w[0] >= w[1]), "non-increasing");
-            }
+        for threads in [2usize, 3, 8] {
+            let opts = SelectOptions {
+                threads,
+                ..Default::default()
+            };
+            let par = run_selection(&app.module, &app.wpst, &app.profile, &inputs, &opts);
+            assert!(
+                fronts_identical(&seq.pareto, &par.pareto),
+                "threads={threads} changed the front"
+            );
+            assert_eq!(par.visited, seq.visited, "threads={threads}");
+            assert_eq!(par.stats.pruned, seq.stats.pruned);
+            assert_eq!(par.configs_evaluated, seq.configs_evaluated);
+            assert_eq!(par.stats.threads, threads);
+            assert_eq!(par.stats.scheduler(), SchedKind::WorkSteal.label());
+            assert!(
+                !par.stats.worker_busy_nanos.is_empty(),
+                "threads={threads} spawned no workers"
+            );
+            // A repeated run must also be bit-identical: no steal
+            // interleaving may leak into the front.
+            let again = run_selection(&app.module, &app.wpst, &app.profile, &inputs, &opts);
+            assert!(
+                fronts_identical(&par.pareto, &again.pareto),
+                "threads={threads} is not reproducible"
+            );
         }
     }
 

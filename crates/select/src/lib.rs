@@ -9,8 +9,9 @@
 //! * [`mod@pareto`] — [`pareto::Solution`]s, Pareto reduction, the α-spacing
 //!   `filter`, and the `⊗` combination operator,
 //! * [`dp`] — Algorithm 1 ([`dp::run_selection`]) with heuristic pruning,
-//!   parallel subtree evaluation ([`dp::SelectOptions::threads`]) and design
-//!   memoisation,
+//!   the child-order fold every engine shares, and design memoisation,
+//! * [`sched`] — the work-stealing engine for
+//!   [`dp::SelectOptions::threads`] > 1,
 //! * [`cache`] — the thread-safe [`cache::DesignCache`] memoising
 //!   `accel(v, R)` results across selection runs,
 //! * [`stats`] — the [`stats::SelectStats`] observability snapshot carried
@@ -27,8 +28,8 @@ pub mod stats;
 
 pub use cache::{CacheStats, DesignCache, DesignKey, DesignStoreBackend, ModelId, StripeStats};
 pub use dp::{
-    run_selection, run_selection_cached, run_selection_with, run_selection_with_fronts, AccelModel,
-    CaymanModel, FrontKey, FrontStore, SelectOptions, SelectionResult,
+    run_selection, run_selection_cached, run_selection_with_fronts, AccelModel, CaymanModel,
+    FrontKey, FrontStore, SelectOptions, SelectionResult,
 };
 pub use pareto::{combine, filter, pareto, SelectedKernel, Solution};
 pub use sched::SchedKind;

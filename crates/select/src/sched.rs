@@ -1,9 +1,10 @@
-//! Deterministic work-stealing scheduler for the selection DP.
+//! Deterministic work-stealing scheduler: the selection DP's engine for
+//! [`crate::SelectOptions::threads`] > 1 (one worker runs the plain
+//! recursion in `crate::dp` instead).
 //!
-//! The static splitter in [`crate::dp`] divides the thread budget over
-//! *contiguous sibling chunks*, so a skewed wPST — one hot function, one
-//! deep `ctrl-flow` chain — pins most of the work onto one chunk worker
-//! while the rest go idle. This module replaces that with task parallelism:
+//! A wPST is rarely balanced — one hot function, one deep `ctrl-flow` chain
+//! can hold most of the model calls — so the thread budget chases the work
+//! as tasks rather than following the tree's shape:
 //!
 //! 1. **Plan** (caller thread): walk the unpruned wPST once and flatten it
 //!    into a task graph. Every `bb` leaf and every `ctrl-flow` vertex's own
@@ -18,11 +19,10 @@
 //!    since the plan seeds every task up front and execution never enqueues
 //!    new ones, a worker can exit as soon as all deques are empty.
 //! 3. **Combine**: delivering a result into the last empty slot of an
-//!    `Inner` makes its owner run the fold — `combine` over the slots
-//!    *strictly in child order*, exactly the sequence `Engine::dp` executes
-//!    — and cascade the folded front into the parent's slot, iteratively up
-//!    the tree (no recursion, so deep `ctrl-flow` chains cannot overflow the
-//!    stack).
+//!    `Inner` makes its owner run `Engine::fold` — the one child-order
+//!    fold the sequential DP also runs — over the slots, and cascade the
+//!    folded front into the parent's slot, iteratively up the tree (no
+//!    recursion, so deep `ctrl-flow` chains cannot overflow the stack).
 //!
 //! Determinism does not depend on the steal interleaving: each slot value is
 //! a pure function of its subtree, the fold consumes slots in child order,
@@ -32,22 +32,18 @@
 //! never changes.
 
 use crate::dp::Engine;
-use crate::pareto::{combine, filter, pareto, Solution};
+use crate::pareto::{filter, pareto, Solution};
 use crate::stats::{thread_cpu_nanos, AtomicStats};
 use cayman_analysis::wpst::WpstNodeId;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Which engine evaluates independent wPST subtrees when
-/// [`crate::SelectOptions::threads`] > 1. Both produce bit-identical fronts;
-/// they differ only in how the thread budget chases the work.
+/// The engine that runs the DP when [`crate::SelectOptions::threads`] > 1.
+/// Work stealing is the only one; the type is retained for callers that
+/// name it in [`crate::SelectOptions::sched`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedKind {
-    /// Static contiguous chunking of siblings with a divided thread budget
-    /// (the original splitter). Predictable, but a skewed tree leaves
-    /// workers idle.
-    Static,
     /// Work-stealing task scheduler (this module): model calls become tasks
     /// on per-worker deques, idle workers steal, results land in
     /// child-order slots.
@@ -56,20 +52,9 @@ pub enum SchedKind {
 }
 
 impl SchedKind {
-    /// Reads `CAYMAN_SELECT_SCHED` (`static` or `steal`), defaulting to
-    /// [`SchedKind::WorkSteal`]. Lets the bench binaries and CI flip
-    /// schedulers without plumbing a flag through every entry point.
-    pub fn from_env() -> SchedKind {
-        match std::env::var("CAYMAN_SELECT_SCHED").as_deref() {
-            Ok("static") => SchedKind::Static,
-            _ => SchedKind::WorkSteal,
-        }
-    }
-
     /// Stable label for stats and bench output.
     pub fn label(self) -> &'static str {
         match self {
-            SchedKind::Static => "static",
             SchedKind::WorkSteal => "steal",
         }
     }
@@ -83,8 +68,7 @@ struct Inner {
     /// Where this vertex's folded front goes; `None` for the root.
     parent: Option<Dest>,
     /// `ctrl-flow` vertices carry one extra trailing slot for their own
-    /// `accel(v, R)` result, merged after the child fold exactly as in
-    /// `Engine::dp`.
+    /// `accel(v, R)` result, handed to `Engine::fold` as its `own` designs.
     ctrl: bool,
     /// One result per child, in child order (plus the `ctrl` slot). Pruned
     /// children are pre-filled at plan time.
@@ -122,15 +106,9 @@ impl Task {
 /// Called with `threads >= 2`; the sequential path stays in `Engine::dp`.
 pub(crate) fn run_work_stealing(engine: &Engine<'_>, threads: usize) -> Vec<Solution> {
     let root = engine.wpst.root();
-    if engine.profile.share(root) < engine.opts.prune_share {
-        AtomicStats::add_usize(&engine.stats.pruned, 1);
-        return vec![Solution::empty()];
-    }
-    // The root vertex is WpstKind::Root, never a bb; guard anyway so the
-    // scheduler stays total over arbitrary trees.
-    if engine.wpst.is_bb(root) {
-        AtomicStats::add_usize(&engine.stats.visited, 1);
-        return filter(pareto(engine.accel(root)), engine.opts.alpha);
+    // A pruned root, or (on an arbitrary tree) a bb root, needs no tasks.
+    if let Some(f) = engine.leaf_front(root) {
+        return f;
     }
     let (inners, tasks) = plan(engine, root);
 
@@ -163,16 +141,16 @@ pub(crate) fn run_work_stealing(engine: &Engine<'_>, threads: usize) -> Vec<Solu
         .expect("root fold completed")
 }
 
-/// Flattens the unpruned wPST into the task graph. Single-threaded, so the
-/// `visited`/`pruned` counts it records are identical to the sequential
-/// run's regardless of how execution later interleaves.
+/// Flattens the unpruned wPST below an internal `root` (already counted as
+/// visited) into the task graph. Single-threaded, so the `visited`/`pruned`
+/// counts it records are identical to the sequential run's regardless of
+/// how execution later interleaves.
 fn plan(engine: &Engine<'_>, root: WpstNodeId) -> (Vec<Inner>, Vec<Task>) {
     let mut inners: Vec<Inner> = Vec::new();
     let mut tasks: Vec<Task> = Vec::new();
     // (vertex, destination of its folded front); vertices on the stack are
     // unpruned internal vertices, already counted as visited.
     let mut stack: Vec<(WpstNodeId, Option<Dest>)> = vec![(root, None)];
-    AtomicStats::add_usize(&engine.stats.visited, 1);
     while let Some((v, parent)) = stack.pop() {
         let idx = inners.len() as u32;
         let children = &engine.wpst.node(v).children;
@@ -320,28 +298,21 @@ impl Sched<'_, '_> {
         }
     }
 
-    /// Exactly `Engine::dp`'s combine sequence over the pre-ordered slots:
-    /// fold child fronts strictly in child order, then for `ctrl-flow`
-    /// vertices extend with the raw `accel` designs and re-filter. Keeping
-    /// this order is what makes the front bit-identical to sequential.
+    /// Runs `Engine::fold` over a completed vertex's slots: the child
+    /// fronts in child order, then the trailing `accel` slot of a
+    /// `ctrl-flow` vertex as its own designs.
     fn fold(&self, node: &Inner) -> Vec<Solution> {
         let mut slots = std::mem::take(&mut *node.slots.lock().expect("sched slots poisoned"));
-        let alpha = self.engine.opts.alpha;
-        let nchildren = slots.len() - usize::from(node.ctrl);
-        let t0 = cayman_obs::timed("select.combine");
-        let mut f = vec![Solution::empty()];
-        for fu in &slots[..nchildren] {
-            f = combine(&f, fu.as_ref().expect("child front delivered"), alpha);
-        }
-        AtomicStats::add_u64(&self.engine.stats.combine_nanos, t0.finish());
-        if node.ctrl {
-            let accel = slots[nchildren].take().expect("accel slot delivered");
-            let mut all = f;
-            all.extend(accel);
-            let t1 = cayman_obs::timed("select.combine");
-            f = filter(pareto(all), alpha);
-            AtomicStats::add_u64(&self.engine.stats.combine_nanos, t1.finish());
-        }
-        f
+        let own = if node.ctrl {
+            Some(slots.pop().flatten().expect("accel slot delivered"))
+        } else {
+            None
+        };
+        self.engine.fold(
+            slots
+                .iter()
+                .map(|fu| fu.as_deref().expect("child front delivered")),
+            own,
+        )
     }
 }

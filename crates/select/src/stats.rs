@@ -45,6 +45,9 @@ pub struct SelectStats {
     pub cache_hits: u64,
     /// Design-cache misses (model invoked, result memoised).
     pub cache_misses: u64,
+    /// Of the `cache_hits`, those this run promoted from the cache's
+    /// backing store (a disk hit, counted by the run that made it).
+    pub disk_hits: u64,
     /// Nanoseconds spent inside the accelerator model, summed over threads.
     pub model_nanos: u64,
     /// Nanoseconds spent in Pareto combine/filter, summed over threads.
@@ -56,25 +59,27 @@ pub struct SelectStats {
     /// The up-to-[`TOP_ACCEL_K`] most expensive `accel(v, R)` model
     /// invocations, most expensive first.
     pub top_accel: Vec<AccelCallStat>,
-    /// Which subtree engine ran the DP: `"seq"`, `"static"` or `"steal"`
-    /// (empty on hand-built snapshots).
-    pub scheduler: &'static str,
-    /// Per-worker busy CPU nanoseconds, largest first; empty for sequential
-    /// runs. The work-stealing scheduler records exactly one entry per
-    /// worker thread; the static splitter records one per spawned chunk
-    /// worker across its nested scopes plus one for the caller thread
-    /// (which carries the serial spine: root-level combines and chain
-    /// vertices). Each entry excludes time its own nested children
-    /// consumed, so entries never double-count work.
+    /// Per-worker busy CPU nanoseconds, largest first: one entry per
+    /// work-stealing worker thread, empty for sequential runs.
     pub worker_busy_nanos: Vec<u64>,
     /// CPU nanoseconds of the most expensive single task the work-stealing
     /// scheduler executed (a model call, or a fold cascade reaching the
-    /// root); `0` for sequential and static runs. An indivisible-work floor
-    /// for the modeled makespan.
+    /// root); `0` for sequential runs. An indivisible-work floor for the
+    /// modeled makespan.
     pub max_task_nanos: u64,
 }
 
 impl SelectStats {
+    /// Which engine ran the DP, worked out from `threads`: `"seq"` for one
+    /// thread, otherwise the work-stealing scheduler's label.
+    pub fn scheduler(&self) -> &'static str {
+        if self.threads <= 1 {
+            "seq"
+        } else {
+            crate::SchedKind::WorkSteal.label()
+        }
+    }
+
     /// Cache hit rate in `[0, 1]`; `0` when the run made no cacheable
     /// `accel` calls.
     pub fn cache_hit_rate(&self) -> f64 {
@@ -104,8 +109,8 @@ impl SelectStats {
         self.combine_nanos as f64 * 1e-9
     }
 
-    /// Total worker CPU seconds — the parallelisable work the schedulers
-    /// distribute. `0` for sequential runs (no workers were spawned).
+    /// Total worker CPU seconds — the parallelisable work the scheduler
+    /// distributes. `0` for sequential runs (no workers were spawned).
     pub fn busy_seconds(&self) -> f64 {
         self.worker_busy_nanos.iter().sum::<u64>() as f64 * 1e-9
     }
@@ -113,27 +118,19 @@ impl SelectStats {
     /// Modeled makespan in seconds: how long the run would take on a host
     /// with at least `threads` free cores. `0` for sequential runs.
     ///
-    /// For the static splitter the busiest recorded thread *is* the model:
-    /// the partition is fixed up front, so whichever chunk (or the caller's
-    /// serial spine) carries the most CPU time bounds the run.
-    ///
-    /// For the work-stealing scheduler the per-worker split measured on an
-    /// oversubscribed host is an artefact of OS scheduling — one worker can
-    /// drain every queue before the others are even dispatched — so the
-    /// greedy-scheduling bound `max(total work / workers, most expensive
-    /// single task)` is used instead. Both terms are measured CPU time, and
-    /// the bound never exceeds the busiest worker.
+    /// The per-worker split measured on an oversubscribed host is an
+    /// artefact of OS scheduling — one worker can drain every queue before
+    /// the others are even dispatched — so the greedy-scheduling bound
+    /// `max(total work / workers, most expensive single task)` is used
+    /// instead. Both terms are measured CPU time, and the bound never
+    /// exceeds the busiest worker.
     pub fn makespan_seconds(&self) -> f64 {
         let n = self.worker_busy_nanos.len();
         if n == 0 {
             return 0.0;
         }
-        if self.scheduler == "steal" {
-            let ideal = self.busy_seconds() / n as f64;
-            ideal.max(self.max_task_nanos as f64 * 1e-9)
-        } else {
-            self.worker_busy_nanos[0] as f64 * 1e-9
-        }
+        let ideal = self.busy_seconds() / n as f64;
+        ideal.max(self.max_task_nanos as f64 * 1e-9)
     }
 
     /// Load balance in `(0, 1]`: total busy time over `workers × busiest
@@ -169,7 +166,7 @@ impl fmt::Display for SelectStats {
         write!(
             f,
             "visited {} (pruned {}), configs {} ({} modeled), cache {}/{} hit ({:.0}%), \
-             model {:.2}ms + combine {:.2}ms, wall {:.2}ms on {} thread(s)",
+             model {:.2}ms + combine {:.2}ms, wall {:.2}ms on {} thread(s) [{}]",
             self.visited,
             self.pruned,
             self.configs_considered,
@@ -181,10 +178,8 @@ impl fmt::Display for SelectStats {
             self.combine_seconds() * 1e3,
             self.wall_seconds() * 1e3,
             self.threads.max(1),
+            self.scheduler(),
         )?;
-        if !self.scheduler.is_empty() {
-            write!(f, " [{}]", self.scheduler)?;
-        }
         if !self.worker_busy_nanos.is_empty() {
             write!(f, ", balance {:.2}", self.load_balance())?;
         }
@@ -204,6 +199,7 @@ pub(crate) struct AtomicStats {
     pub configs_evaluated: AtomicUsize,
     pub cache_hits: AtomicU64,
     pub cache_misses: AtomicU64,
+    pub disk_hits: AtomicU64,
     pub model_nanos: AtomicU64,
     pub combine_nanos: AtomicU64,
     /// Candidate pool for the top-k `accel` breakdown (most expensive
@@ -228,6 +224,7 @@ impl Default for AtomicStats {
             configs_evaluated: AtomicUsize::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
+            disk_hits: AtomicU64::new(0),
             model_nanos: AtomicU64::new(0),
             combine_nanos: AtomicU64::new(0),
             top_accel: TopPool::new(TOP_ACCEL_K, |a, b| {
@@ -272,12 +269,7 @@ impl AtomicStats {
     }
 
     /// Freezes the accumulator into a snapshot.
-    pub fn snapshot(
-        &self,
-        wall_nanos: u64,
-        threads: usize,
-        scheduler: &'static str,
-    ) -> SelectStats {
+    pub fn snapshot(&self, wall_nanos: u64, threads: usize) -> SelectStats {
         let top_accel = self.top_accel.snapshot();
         let mut worker_busy = self
             .worker_busy
@@ -292,12 +284,12 @@ impl AtomicStats {
             configs_evaluated: self.configs_evaluated.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
+            disk_hits: self.disk_hits.load(Ordering::Relaxed),
             model_nanos: self.model_nanos.load(Ordering::Relaxed),
             combine_nanos: self.combine_nanos.load(Ordering::Relaxed),
             wall_nanos,
             threads,
             top_accel,
-            scheduler,
             worker_busy_nanos: worker_busy,
             max_task_nanos: self.max_task.load(Ordering::Relaxed),
         }
@@ -331,6 +323,7 @@ mod tests {
         AtomicStats::add_usize(&a.configs_evaluated, 7);
         AtomicStats::add_u64(&a.cache_hits, 4);
         AtomicStats::add_u64(&a.cache_misses, 6);
+        AtomicStats::add_u64(&a.disk_hits, 3);
         AtomicStats::add_u64(&a.model_nanos, 1_000);
         AtomicStats::add_u64(&a.combine_nanos, 2_000);
         a.record_worker_busy(300);
@@ -339,27 +332,24 @@ mod tests {
         a.record_task_nanos(400);
         a.record_task_nanos(700);
         a.record_task_nanos(250);
-        let s = a.snapshot(5_000, 4, "steal");
+        let s = a.snapshot(5_000, 4);
         assert_eq!(s.visited, 5);
         assert_eq!(s.pruned, 2);
         assert_eq!(s.configs_considered, 10);
         assert_eq!(s.configs_evaluated, 7);
         assert_eq!(s.cache_hits, 4);
         assert_eq!(s.cache_misses, 6);
+        assert_eq!(s.disk_hits, 3);
         assert_eq!(s.wall_nanos, 5_000);
         assert_eq!(s.threads, 4);
-        assert_eq!(s.scheduler, "steal");
+        assert_eq!(s.scheduler(), "steal", "threads > 1 runs the steal engine");
         assert_eq!(s.worker_busy_nanos, vec![900, 600, 300], "sorted desc");
         assert_eq!(s.max_task_nanos, 700, "fetch_max keeps the largest task");
         assert!((s.busy_seconds() - 1_800e-9).abs() < 1e-15);
-        // steal: greedy bound = max(1800/3, 700) = 700ns
+        // greedy bound = max(1800/3, 700) = 700ns
         assert!((s.makespan_seconds() - 700e-9).abs() < 1e-15);
         assert!((s.load_balance() - 1800.0 / (3.0 * 700.0)).abs() < 1e-12);
-        // static: the busiest recorded thread bounds the run
-        let mut st = s.clone();
-        st.scheduler = "static";
-        assert!((st.makespan_seconds() - 900e-9).abs() < 1e-15);
-        // steal with no dominant task: ideal split = 1800/3 = 600ns
+        // no dominant task: ideal split = 1800/3 = 600ns
         let mut even = s.clone();
         even.max_task_nanos = 0;
         assert!((even.makespan_seconds() - 600e-9).abs() < 1e-15);
@@ -374,6 +364,7 @@ mod tests {
     #[test]
     fn busy_helpers_handle_no_workers() {
         let s = SelectStats::default();
+        assert_eq!(s.scheduler(), "seq");
         assert_eq!(s.busy_seconds(), 0.0);
         assert_eq!(s.makespan_seconds(), 0.0);
         assert_eq!(s.load_balance(), 1.0);
@@ -400,7 +391,7 @@ mod tests {
             a.record_accel(format!("f#v{i}"), (i as u64 % 37) * 1000, i);
         }
         a.record_accel("hot#v0".into(), 1_000_000, 3);
-        let s = a.snapshot(1, 1, "seq");
+        let s = a.snapshot(1, 1);
         assert_eq!(s.top_accel.len(), TOP_ACCEL_K);
         assert_eq!(s.top_accel[0].label, "hot#v0");
         assert_eq!(s.top_accel[0].designs, 3);

@@ -1,13 +1,15 @@
 //! Property test: the selection Pareto front is *bit-identical* across
-//! thread counts and schedulers for randomly generated workload shapes.
+//! engines and thread counts for randomly generated workload shapes.
 //!
 //! [`TreeShape`] draws skewed wPST shapes — deep chains, wide fan-outs, hot
 //! single subtrees — which are materialised into real IR modules, profiled,
-//! and selected over with every combination of `threads ∈ {1, 2, 3, 8}` and
-//! both parallel schedulers. Any divergence (a reordered float summation, a
-//! steal interleaving leaking into the front, a miscounted vertex) fails the
-//! property with a replayable seed, and the harness shrinks the shape toward
-//! a minimal reproduction.
+//! and selected over by the sequential DP, the work-stealing scheduler at
+//! `threads ∈ {2, 3, 8}`, and the front-reuse path with a cold and then a
+//! warm [`FrontStore`]. All of them fold through one child-order fold; any
+//! divergence (a reordered float summation, a steal interleaving leaking
+//! into the front, a miscounted vertex) fails the property with a
+//! replayable seed, and the harness shrinks the shape toward a minimal
+//! reproduction.
 
 use cayman_analysis::access::{trip_count, AccessAnalysis};
 use cayman_analysis::memdep::{analyse_loop_deps, LoopDeps};
@@ -18,7 +20,10 @@ use cayman_hls::inputs::FuncInputs;
 use cayman_ir::builder::{FunctionBuilder, ModuleBuilder};
 use cayman_ir::interp::Interp;
 use cayman_ir::{ArrayId, Module, Operand, Type};
-use cayman_select::{run_selection, SchedKind, SelectOptions, Solution};
+use cayman_select::{
+    run_selection, run_selection_with_fronts, CaymanModel, DesignCache, FrontStore, SelectOptions,
+    SelectionResult, Solution,
+};
 use cayman_testkit::tree::{FuncShape, TreeShape, MAX_CASE_ITERATIONS};
 use cayman_testkit::{prop_assert, prop_assert_eq, prop_check};
 
@@ -195,6 +200,26 @@ fn fronts_identical(a: &[Solution], b: &[Solution]) -> bool {
         })
 }
 
+/// Selection through the front-reuse path over `fronts`, with a fresh
+/// design cache so a warm run can only be answered by the front store.
+fn select_with_fronts(
+    app: &App,
+    inputs: &[FuncInputs<'_>],
+    fronts: &mut FrontStore,
+) -> SelectionResult {
+    let opts = SelectOptions::default();
+    run_selection_with_fronts(
+        &app.module,
+        &app.wpst,
+        &app.profile,
+        inputs,
+        &opts,
+        &CaymanModel(opts.model.clone()),
+        &DesignCache::new(),
+        fronts,
+    )
+}
+
 #[test]
 fn random_tree_shapes_select_identically_across_schedulers() {
     prop_check!(cases = 20, |rng| {
@@ -213,23 +238,44 @@ fn random_tree_shapes_select_identically_across_schedulers() {
             &inputs,
             &SelectOptions::default(),
         );
-        prop_assert_eq!(seq.stats.scheduler, "seq");
-        for sched in [SchedKind::Static, SchedKind::WorkSteal] {
-            for threads in [2usize, 3, 8] {
-                let opts = SelectOptions {
-                    threads,
-                    sched,
-                    ..Default::default()
-                };
-                let par = run_selection(&app.module, &app.wpst, &app.profile, &inputs, &opts);
+        prop_assert_eq!(seq.stats.scheduler(), "seq");
+
+        let mut fronts = FrontStore::new();
+        let cold = select_with_fronts(&app, &inputs, &mut fronts);
+        prop_assert!(
+            fronts_identical(&seq.pareto, &cold.pareto),
+            "cold front reuse changed the front for {shape:?}"
+        );
+        prop_assert_eq!(cold.visited, seq.visited);
+        prop_assert_eq!(cold.configs_evaluated, seq.configs_evaluated);
+        let misses = fronts.misses;
+        let warm = select_with_fronts(&app, &inputs, &mut fronts);
+        prop_assert!(
+            fronts_identical(&seq.pareto, &warm.pareto),
+            "warm front reuse changed the front for {shape:?}"
+        );
+        prop_assert_eq!(fronts.misses, misses);
+        prop_assert_eq!(warm.stats.configs_evaluated, 0);
+
+        for threads in [2usize, 3, 8] {
+            let opts = SelectOptions {
+                threads,
+                ..Default::default()
+            };
+            let par = run_selection(&app.module, &app.wpst, &app.profile, &inputs, &opts);
+            prop_assert!(
+                fronts_identical(&seq.pareto, &par.pareto),
+                "steal threads={threads} changed the front for {shape:?}"
+            );
+            for (reuse, res) in [("cold", &cold), ("warm", &warm)] {
                 prop_assert!(
-                    fronts_identical(&seq.pareto, &par.pareto),
-                    "{sched:?} threads={threads} changed the front for {shape:?}"
+                    fronts_identical(&res.pareto, &par.pareto),
+                    "{reuse} front reuse vs steal threads={threads} diverge for {shape:?}"
                 );
-                prop_assert_eq!(par.visited, seq.visited);
-                prop_assert_eq!(par.stats.pruned, seq.stats.pruned);
-                prop_assert_eq!(par.configs_evaluated, seq.configs_evaluated);
             }
+            prop_assert_eq!(par.visited, seq.visited);
+            prop_assert_eq!(par.stats.pruned, seq.stats.pruned);
+            prop_assert_eq!(par.configs_evaluated, seq.configs_evaluated);
         }
         Ok(())
     });

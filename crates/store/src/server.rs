@@ -324,9 +324,7 @@ impl Shared {
                         Ok((fw, framework_reused)) => {
                             phases.framework_reused = framework_reused;
                             let select_t = Instant::now();
-                            let disk_before = fw.cache_stats().disk_hits;
                             let res = fw.select(&self.select);
-                            let disk_after = fw.cache_stats().disk_hits;
                             phases.select_nanos = select_t.elapsed().as_nanos() as u64;
                             self.hists.select.record(phases.select_nanos);
                             if res.stats.configs_evaluated == 0 {
@@ -341,7 +339,7 @@ impl Shared {
                                 model_evals: res.stats.configs_evaluated as u64,
                                 cache_hits: res.stats.cache_hits,
                                 cache_misses: res.stats.cache_misses,
-                                disk_hits: disk_after - disk_before,
+                                disk_hits: res.stats.disk_hits,
                             })
                         }
                     }

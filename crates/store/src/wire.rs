@@ -176,9 +176,11 @@ pub struct SelectReply {
     pub model_evals: u64,
     /// Design-cache hits during this request's selection.
     pub cache_hits: u64,
-    /// Design-cache memory-level misses during this request's selection.
+    /// Design-cache lookups during this request's selection that neither
+    /// memory nor the disk store answered (the model ran).
     pub cache_misses: u64,
-    /// Misses answered by the disk store during this request.
+    /// Of `cache_hits`, those this request's selection promoted from the
+    /// disk store (never another concurrent request's).
     pub disk_hits: u64,
 }
 

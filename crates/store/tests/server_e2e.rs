@@ -266,3 +266,67 @@ fn slow_request_log_names_reply_ids() {
     client.shutdown_server().expect("shutdown");
     server.wait();
 }
+
+#[test]
+fn concurrent_disk_hits_add_up_to_the_store_hits() {
+    let store_dir = tmp_path("disk-hits-store");
+    let _ = std::fs::remove_dir_all(&store_dir);
+    let with_store = || ServerOptions {
+        store_dir: Some(store_dir.clone()),
+        ..Default::default()
+    };
+    let (text, name) = corpus_text(6);
+    let reference = Framework::from_text(&text)
+        .expect("analyses")
+        .select(&SelectOptions::default());
+
+    // a first server warms the store directory
+    let server = serve(Endpoint::Unix(tmp_path("disk-hits-a.sock")), with_store()).expect("serve");
+    let mut client = Client::connect(server.endpoint()).expect("connect");
+    assert!(client.select_text(&text).expect("cold select").model_evals > 0);
+    client.shutdown_server().expect("shutdown");
+    server.wait();
+
+    // a fresh server has never seen the module: concurrent clients share
+    // one framework whose designs all come off the disk-warm store
+    let server = serve(Endpoint::Unix(tmp_path("disk-hits-b.sock")), with_store()).expect("serve");
+    let mut client = Client::connect(server.endpoint()).expect("connect");
+    let store_hits = |c: &mut Client| c.stats().expect("stats").store.expect("store").hits;
+    let before = store_hits(&mut client);
+    let clients = 4;
+    let start = std::sync::Barrier::new(clients);
+    let replies: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..clients)
+            .map(|_| {
+                let endpoint = server.endpoint().clone();
+                let (text, start) = (&text, &start);
+                s.spawn(move || {
+                    let mut c = Client::connect(&endpoint).expect("connect");
+                    start.wait();
+                    c.select_text(text).expect("select")
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("join"))
+            .collect()
+    });
+    let delta = store_hits(&mut client) - before;
+    for reply in &replies {
+        assert!(
+            fronts_bits_equal(&reply.front, &reference.pareto),
+            "{name}: disk-warm front diverges"
+        );
+        assert_eq!(reply.model_evals, 0, "{name}: the store holds every design");
+    }
+    let summed: u64 = replies.iter().map(|r| r.disk_hits).sum();
+    assert!(summed > 0, "{name}: designs came off the store");
+    assert_eq!(
+        summed, delta,
+        "{name}: per-reply disk hits must add up to the store's hit delta"
+    );
+    client.shutdown_server().expect("shutdown");
+    server.wait();
+    let _ = std::fs::remove_dir_all(&store_dir);
+}

@@ -45,6 +45,11 @@ fn disk_warm_framework_runs_zero_model_evals() {
         warm_fw.cache_stats().disk_hits > 0,
         "warm designs must come off disk"
     );
+    assert_eq!(
+        warm.stats.disk_hits,
+        warm_fw.cache_stats().disk_hits,
+        "the only run on a fresh cache counts every disk hit"
+    );
     assert_eq!(store.stats().corrupt, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }

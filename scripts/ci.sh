@@ -6,6 +6,9 @@ cd "$(dirname "$0")/.."
 echo "== build (release, offline) =="
 cargo build --workspace --release --offline
 
+echo "== repo benchmark builds against the current API =="
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== tests (offline) =="
 cargo test -q --workspace --offline
 
@@ -18,7 +21,7 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== profiling throughput (smoke) =="
 cargo bench -p cayman-bench --bench profiling --offline -- --smoke
 
-echo "== selection schedulers (smoke: fronts bit-identical) =="
+echo "== selection engine (smoke: work-stealing fronts bit-identical to sequential) =="
 cargo bench -p cayman-bench --bench selection --offline -- --smoke
 
 echo "== incremental re-analysis (smoke: fronts bit-identical, warm toggles cache-hit) =="

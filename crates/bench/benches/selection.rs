@@ -21,7 +21,7 @@
 use cayman::ir::builder::{FunctionBuilder, ModuleBuilder};
 use cayman::ir::{ArrayId, Type};
 use cayman::select::{run_selection_cached, CaymanModel, DesignCache};
-use cayman::{Framework, SelectOptions, Solution};
+use cayman::{Framework, SelectOptions, SelectStats, Solution};
 use cayman_bench::harness::{fmt_duration, run};
 use cayman_bench::json;
 use std::path::Path;
@@ -249,12 +249,15 @@ fn fronts_identical(a: &[Solution], b: &[Solution]) -> bool {
         })
 }
 
-/// One work-stealing measurement on one shape.
+/// One work-stealing measurement on one shape. Busy, makespan and
+/// balance are medians over the same repeats as `cpu_seq_s`.
 struct StealPoint {
     threads: usize,
     wall_s: f64,
     busy_s: f64,
     makespan_s: f64,
+    /// Smallest and largest makespan over the repeats (the spread).
+    makespan_range_s: (f64, f64),
     balance: f64,
 }
 
@@ -277,6 +280,13 @@ impl ShapeResult {
             .find(|p| p.threads == threads)
             .map_or(0.0, |p| self.cpu_seq_s / p.makespan_s.max(1e-12))
     }
+}
+
+/// `f` of every run, sorted ascending (the median is the middle entry).
+fn sorted_by(runs: &[SelectStats], f: impl Fn(&SelectStats) -> f64) -> Vec<f64> {
+    let mut xs: Vec<f64> = runs.iter().map(f).collect();
+    xs.sort_by(f64::total_cmp);
+    xs
 }
 
 /// Thread CPU seconds of one call (the minimum over `reps` calls).
@@ -312,6 +322,14 @@ fn bench_scheduler_comparison(smoke: bool) -> Vec<ShapeResult> {
             ..Default::default()
         };
         let reference = select_uncached(&fw, &seq_opts);
+        // model/combine are wall time summed over threads; only the
+        // sequential run attributes them without counting preemption
+        println!(
+            "{:<36} seq: model {} + combine {}",
+            "",
+            fmt_duration(reference.stats.model_seconds()),
+            fmt_duration(reference.stats.combine_seconds()),
+        );
         let reps = if smoke { 1 } else { 5 };
         let cpu_seq_s = cpu_seconds(reps, || select_uncached(&fw, &seq_opts));
         let wall_seq_s = if smoke {
@@ -332,40 +350,48 @@ fn bench_scheduler_comparison(smoke: bool) -> Vec<ShapeResult> {
             };
             let label = format!("selection_sched/{shape}/{}x{threads}", opts.sched.label());
             let t0 = Instant::now();
-            let res = select_uncached(&fw, &opts);
-            let one_shot_s = t0.elapsed().as_secs_f64();
-            assert!(
-                fronts_identical(&reference.pareto, &res.pareto),
-                "{label} diverged from sequential"
-            );
-            assert_eq!(res.visited, reference.visited, "{label}");
-            assert_eq!(
-                res.configs_evaluated, reference.configs_evaluated,
-                "{label}"
-            );
+            let runs: Vec<_> = (0..reps)
+                .map(|_| {
+                    let res = select_uncached(&fw, &opts);
+                    assert!(
+                        fronts_identical(&reference.pareto, &res.pareto),
+                        "{label} diverged from sequential"
+                    );
+                    assert_eq!(res.visited, reference.visited, "{label}");
+                    assert_eq!(
+                        res.configs_evaluated, reference.configs_evaluated,
+                        "{label}"
+                    );
+                    res.stats
+                })
+                .collect();
             let wall_s = if smoke {
-                one_shot_s
+                t0.elapsed().as_secs_f64()
             } else {
                 run(&label, || select_uncached(&fw, &opts)).min_s
             };
-            if threads == 8 {
-                println!(
-                    "{:<36} {}x8: model {} + combine {}, max task {}, busy {}",
-                    "",
-                    res.stats.scheduler(),
-                    fmt_duration(res.stats.model_seconds()),
-                    fmt_duration(res.stats.combine_seconds()),
-                    fmt_duration(res.stats.max_task_nanos as f64 * 1e-9),
-                    fmt_duration(res.stats.busy_seconds()),
-                );
-            }
-            points.push(StealPoint {
+            let median = |f: &dyn Fn(&SelectStats) -> f64| sorted_by(&runs, f)[reps / 2];
+            let makespans = sorted_by(&runs, SelectStats::makespan_seconds);
+            let point = StealPoint {
                 threads,
                 wall_s,
-                busy_s: res.stats.busy_seconds(),
-                makespan_s: res.stats.makespan_seconds(),
-                balance: res.stats.load_balance(),
-            });
+                busy_s: median(&SelectStats::busy_seconds),
+                makespan_s: makespans[reps / 2],
+                makespan_range_s: (makespans[0], makespans[reps - 1]),
+                balance: median(&SelectStats::load_balance),
+            };
+            if threads == 8 {
+                println!(
+                    "{:<36} stealx8 (median of {reps}): max task {}, busy {}, makespan {} ({}–{})",
+                    "",
+                    fmt_duration(median(&|s| s.max_task_nanos as f64 * 1e-9)),
+                    fmt_duration(point.busy_s),
+                    fmt_duration(point.makespan_s),
+                    fmt_duration(point.makespan_range_s.0),
+                    fmt_duration(point.makespan_range_s.1),
+                );
+            }
+            points.push(point);
         }
         let result = ShapeResult {
             shape,
@@ -384,8 +410,8 @@ fn bench_scheduler_comparison(smoke: bool) -> Vec<ShapeResult> {
     out
 }
 
-/// The tentpole's near-zero-cost claim, as a tracked number: nanoseconds per
-/// disabled `span!` + counter pair on the selection hot-path shape. The
+/// The near-zero-cost claim, as a tracked number: nanoseconds per disabled
+/// `span!` + instant pair on the selection hot-path shape. The
 /// per-event cost must stay within a couple of atomic loads (the CI smoke
 /// run asserts a generous microsecond bound; the zero-allocation property is
 /// unit-tested in `cayman-obs`).
@@ -400,12 +426,12 @@ fn measure_obs_disabled_ns() -> f64 {
     let t0 = Instant::now();
     for i in 0..iters {
         let guard = cayman_obs::span!("select.task.accel", vertex = i);
-        cayman_obs::counter("select.cache.hit", 1);
+        cayman_obs::instant("select.steal");
         let _ = std::hint::black_box(guard);
     }
     let ns = t0.elapsed().as_nanos() as f64 / iters as f64;
     println!(
-        "{:<36} disabled span+counter: {ns:.1} ns/pair",
+        "{:<36} disabled span+instant: {ns:.1} ns/pair",
         "obs_overhead"
     );
     ns
@@ -424,7 +450,9 @@ fn sched_json(results: &[ShapeResult], obs_disabled_ns: f64) -> String {
             "every run is the work-stealing scheduler, against the sequential DP; wall_s shows \
              no parallel speedup when the host has fewer free cores than threads; makespan_s is \
              the modeled parallel completion time from measured CPU time, the greedy bound \
-             max(total work / workers, most expensive single task); modeled speedup is \
+             max(total work / workers, most expensive single task); busy_s, makespan_s and \
+             balance are medians over the same 5 repeats as cpu_seq_s (the minimum), and \
+             makespan_min_s/makespan_max_s their spread; modeled speedup is \
              cpu_seq_s / makespan_s",
         );
         o.f64("obs_disabled_span_ns", obs_disabled_ns, 1);
@@ -441,6 +469,8 @@ fn sched_json(results: &[ShapeResult], obs_disabled_ns: f64) -> String {
                                 o.f64("wall_s", p.wall_s, 6);
                                 o.f64("busy_s", p.busy_s, 6);
                                 o.f64("makespan_s", p.makespan_s, 6);
+                                o.f64("makespan_min_s", p.makespan_range_s.0, 6);
+                                o.f64("makespan_max_s", p.makespan_range_s.1, 6);
                                 o.f64("balance", p.balance, 3);
                             });
                         }

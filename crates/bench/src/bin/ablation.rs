@@ -84,7 +84,7 @@ fn main() {
         );
         let sel = warm_rerun(&fw);
         let merge_save = fw.report(&sel, 0.65).area_saving_pct;
-        let (hits, misses) = fw.cache_totals();
+        let cache = fw.cache_stats();
 
         rows.push(AblationRow {
             name,
@@ -93,8 +93,8 @@ fn main() {
             no_unroll,
             no_dup,
             merge_save,
-            cache_hits: hits,
-            cache_misses: misses,
+            cache_hits: cache.hits(),
+            cache_misses: cache.misses(),
             top_accel: full_sel
                 .stats
                 .top_accel_lines()

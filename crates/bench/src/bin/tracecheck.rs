@@ -77,12 +77,11 @@ fn main() {
     }
 
     println!(
-        "{path}: OK — {} events, {} completed spans ({} distinct names), {} lanes, {} counters, {} instants",
+        "{path}: OK — {} events, {} completed spans ({} distinct names), {} lanes, {} instants",
         summary.events,
         summary.spans,
         summary.span_names.len(),
         summary.lanes.len(),
-        summary.counters.len(),
         summary.instants.len()
     );
 }

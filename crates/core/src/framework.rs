@@ -175,11 +175,6 @@ impl Framework {
         self.cache.has_backing()
     }
 
-    /// Lifetime `(hits, misses)` of the framework's design cache.
-    pub fn cache_totals(&self) -> (u64, u64) {
-        self.cache.totals()
-    }
-
     /// Per-stripe + store-level counter snapshot of the design cache.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
@@ -324,8 +319,8 @@ mod tests {
         // baselines use disjoint cache partitions, so they miss (not collide)
         let novia = fw.select_novia(&opts);
         assert_eq!(novia.stats.cache_hits, 0);
-        let (hits, misses) = fw.cache_totals();
-        assert!(hits > 0 && misses > 0);
+        let cache = fw.cache_stats();
+        assert!(cache.hits() > 0 && cache.misses() > 0);
     }
 
     #[test]

@@ -96,14 +96,12 @@ pub struct QueryCounter {
 }
 
 impl QueryCounter {
-    fn hit(&mut self, name: &'static str) {
+    fn hit(&mut self) {
         self.hits += 1;
-        cayman_obs::counter(name, 1);
     }
 
-    fn miss(&mut self, name: &'static str) {
+    fn miss(&mut self) {
         self.misses += 1;
-        cayman_obs::counter(name, 1);
     }
 }
 
@@ -271,10 +269,10 @@ pub(crate) fn assemble(
         verify_each: opts.verify_each_pass,
     };
     if let Some(app) = store.apps.get(&app_key) {
-        store.stats.app.hit("inc.query.app.hit");
+        store.stats.app.hit();
         return Ok(Arc::clone(app));
     }
-    store.stats.app.miss("inc.query.app.miss");
+    store.stats.app.miss();
     let _app_span = cayman_obs::span!("inc.query.app", functions = module.functions.len());
 
     // Stage 1: verify (whole-module; a hit means this exact raw content
@@ -282,9 +280,9 @@ pub(crate) fn assemble(
     {
         let _s = cayman_obs::span!("analyse.verify");
         if store.verified.contains(&module_fp) {
-            store.stats.verify.hit("inc.query.verify.hit");
+            store.stats.verify.hit();
         } else {
-            store.stats.verify.miss("inc.query.verify.miss");
+            store.stats.verify.miss();
             let _q = cayman_obs::span!("inc.query.verify");
             module.verify()?;
             store.verified.insert(module_fp);
@@ -316,11 +314,11 @@ pub(crate) fn assemble(
                 };
                 let cached = match store.normalize.get(&key) {
                     Some(hit) => {
-                        store.stats.normalize.hit("inc.query.normalize.hit");
+                        store.stats.normalize.hit();
                         Arc::clone(hit)
                     }
                     None => {
-                        store.stats.normalize.miss("inc.query.normalize.miss");
+                        store.stats.normalize.miss();
                         let _q = cayman_obs::span!("inc.query.normalize", func = f.index());
                         let stats =
                             normalize_function(&mut working, f, exec_level, opts.verify_each_pass)?;
@@ -359,11 +357,11 @@ pub(crate) fn assemble(
             };
             let cached = match store.shadow.get(&key) {
                 Some(hit) => {
-                    store.stats.shadow.hit("inc.query.shadow.hit");
+                    store.stats.shadow.hit();
                     Arc::clone(hit)
                 }
                 None => {
-                    store.stats.shadow.miss("inc.query.shadow.miss");
+                    store.stats.shadow.miss();
                     let _q = cayman_obs::span!("inc.query.shadow", func = f.index());
                     let mut tmp = Module {
                         name: working.name.clone(),
@@ -404,11 +402,11 @@ pub(crate) fn assemble(
             let key = norm_fps[f.index()];
             let parts = match store.structure.get(&key) {
                 Some(hit) => {
-                    store.stats.structure.hit("inc.query.structure.hit");
+                    store.stats.structure.hit();
                     Arc::clone(hit)
                 }
                 None => {
-                    store.stats.structure.miss("inc.query.structure.miss");
+                    store.stats.structure.miss();
                     let _q = cayman_obs::span!("inc.query.structure", func = f.index());
                     let func = working.function(f);
                     let ctx = FuncCtx::compute(func);
@@ -429,11 +427,11 @@ pub(crate) fn assemble(
         };
         let exec_res = match store.exec.get(&exec_key) {
             Some(hit) => {
-                store.stats.exec.hit("inc.query.exec.hit");
+                store.stats.exec.hit();
                 Arc::clone(hit)
             }
             None => {
-                store.stats.exec.miss("inc.query.exec.miss");
+                store.stats.exec.miss();
                 let _q = cayman_obs::span!("inc.query.exec");
                 // Decode is only needed to execute, so its per-function
                 // queries run lazily inside the exec miss.
@@ -445,11 +443,11 @@ pub(crate) fn assemble(
                     };
                     let d = match store.decode.get(&key) {
                         Some(hit) => {
-                            store.stats.decode.hit("inc.query.decode.hit");
+                            store.stats.decode.hit();
                             Arc::clone(hit)
                         }
                         None => {
-                            store.stats.decode.miss("inc.query.decode.miss");
+                            store.stats.decode.miss();
                             let _q = cayman_obs::span!("inc.query.decode", func = f.index());
                             let d = Arc::new(decode_function(&working, f));
                             store.decode.insert(key, Arc::clone(&d));
@@ -488,11 +486,11 @@ pub(crate) fn assemble(
             };
             let df = match store.dataflow.get(&dkey) {
                 Some(hit) => {
-                    store.stats.dataflow.hit("inc.query.dataflow.hit");
+                    store.stats.dataflow.hit();
                     Arc::clone(hit)
                 }
                 None => {
-                    store.stats.dataflow.miss("inc.query.dataflow.miss");
+                    store.stats.dataflow.miss();
                     let _q = cayman_obs::span!("inc.query.dataflow", func = f.index());
                     // At `-O2` with a changed shadow, analyse the shadow:
                     // identical CFG/loops (so `LoopId`s/`InstrId`s map back
@@ -526,11 +524,11 @@ pub(crate) fn assemble(
             };
             let tt = match store.trips.get(&tkey) {
                 Some(hit) => {
-                    store.stats.trips.hit("inc.query.trips.hit");
+                    store.stats.trips.hit();
                     Arc::clone(hit)
                 }
                 None => {
-                    store.stats.trips.miss("inc.query.trips.miss");
+                    store.stats.trips.miss();
                     let _q = cayman_obs::span!("inc.query.trips", func = f.index());
                     let tt: Vec<f64> = ctx
                         .forest
@@ -693,7 +691,6 @@ impl IncrementalApp {
             }
         }
         self.store.stats.edits += 1;
-        cayman_obs::counter("inc.edit", 1);
         Ok(())
     }
 
@@ -750,10 +747,10 @@ impl IncrementalApp {
             prune_bits: opts.prune_share.to_bits(),
         };
         if let Some(hit) = self.store.selections.get(&key) {
-            self.store.stats.select.hit("inc.query.select.hit");
+            self.store.stats.select.hit();
             return Ok(Arc::clone(hit));
         }
-        self.store.stats.select.miss("inc.query.select.miss");
+        self.store.stats.select.miss();
         let _q = cayman_obs::span!("inc.query.select");
         let model = CaymanModel(opts.model.clone());
         let inputs = app.inputs();

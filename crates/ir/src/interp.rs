@@ -293,7 +293,6 @@ impl<'m> Interp<'m> {
             None => {
                 // Library code never prints; the silent fallback becomes a
                 // structured diagnostic in the trace instead.
-                cayman_obs::counter("profile.decode_fallback", 1);
                 cayman_obs::diag("interp.fallback", || {
                     "decoder rejected module; using reference walker".to_string()
                 });
@@ -317,7 +316,6 @@ impl<'m> Interp<'m> {
                 Engine::Decoded(crate::decode::DecodedModule::from_funcs(fs))
             }
             _ => {
-                cayman_obs::counter("profile.decode_fallback", 1);
                 cayman_obs::diag("interp.fallback", || {
                     "decoder rejected module; using reference walker".to_string()
                 });
@@ -381,22 +379,8 @@ impl<'m> Interp<'m> {
     /// integer division, step-limit exhaustion, or dynamic type confusion
     /// (the latter indicates the module was not [verified](Module::verify)).
     pub fn run(&mut self, args: &[Value]) -> Result<ExecProfile, InterpError> {
-        let span = cayman_obs::timed_with("profile.interp", || {
-            vec![("engine", cayman_obs::ArgValue::from(self.engine_name()))]
-        });
-        let result = self.run_inner(args);
-        let nanos = span.finish();
-        if let Ok(profile) = &result {
-            let blocks = profile.blocks_executed();
-            cayman_obs::counter("profile.blocks", blocks);
-            if nanos > 0 {
-                cayman_obs::gauge(
-                    "profile.blocks_per_sec",
-                    blocks as f64 / (nanos as f64 / 1e9),
-                );
-            }
-        }
-        result
+        let _span = cayman_obs::span!("profile.interp", engine = self.engine_name());
+        self.run_inner(args)
     }
 
     fn run_inner(&mut self, args: &[Value]) -> Result<ExecProfile, InterpError> {

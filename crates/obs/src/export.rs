@@ -26,14 +26,12 @@ impl Trace {
     /// Renders the trace in Chrome trace-event format (the JSON-object form
     /// with a `traceEvents` array), loadable in `chrome://tracing` and
     /// Perfetto. Spans become `B`/`E` pairs on the recording thread's lane,
-    /// counters become cumulative `C` tracks, gauges absolute `C` tracks,
     /// instants `i` markers, and lane events `thread_name` metadata so each
     /// work-stealing worker gets a named lane.
     pub fn to_chrome(&self) -> String {
         let mut out = String::with_capacity(self.events.len() * 96 + 64);
         out.push_str("{\"traceEvents\":[\n");
         let mut first = true;
-        let mut cumulative: BTreeMap<String, u64> = BTreeMap::new();
         for e in &self.events {
             let mut line = String::with_capacity(96);
             let ts = e.ts_nanos as f64 / 1000.0;
@@ -55,31 +53,6 @@ impl Trace {
                         "{{\"name\":\"{}\",\"ph\":\"E\",\"ts\":{ts:.3},\"pid\":1,\"tid\":{}}}",
                         escape(&e.name.to_string()),
                         e.tid
-                    )
-                    .unwrap();
-                }
-                EventKind::Counter { delta } => {
-                    let name = e.name.to_string();
-                    let total = cumulative.entry(name.clone()).or_insert(0);
-                    *total += delta;
-                    write!(
-                        line,
-                        "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":1,\"tid\":{},\
-                         \"args\":{{\"value\":{}}}}}",
-                        escape(&name),
-                        e.tid,
-                        *total
-                    )
-                    .unwrap();
-                }
-                EventKind::Gauge { value } => {
-                    write!(
-                        line,
-                        "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":1,\"tid\":{},\
-                         \"args\":{{\"value\":{}}}}}",
-                        escape(&e.name.to_string()),
-                        e.tid,
-                        fmt_f64(*value)
                     )
                     .unwrap();
                 }
@@ -123,8 +96,6 @@ impl Trace {
             let kind = match &e.kind {
                 EventKind::Begin => "begin",
                 EventKind::End => "end",
-                EventKind::Counter { .. } => "counter",
-                EventKind::Gauge { .. } => "gauge",
                 EventKind::Instant => "instant",
                 EventKind::Lane => "lane",
             };
@@ -137,21 +108,14 @@ impl Trace {
                 escape(&e.name.to_string())
             )
             .unwrap();
-            match &e.kind {
-                EventKind::Counter { delta } => write!(out, ",\"delta\":{delta}").unwrap(),
-                EventKind::Gauge { value } => {
-                    write!(out, ",\"value\":{}", fmt_f64(*value)).unwrap()
-                }
-                _ => {}
-            }
             write_args(&mut out, &e.args);
             out.push_str("}\n");
         }
         out
     }
 
-    /// Renders a human-readable summary: per-span total/self time and call
-    /// counts, counter totals, and the set of named lanes.
+    /// Renders a human-readable summary: per-span total time and call
+    /// counts, and the set of named lanes.
     pub fn summary(&self) -> String {
         #[derive(Default)]
         struct SpanAgg {
@@ -159,7 +123,6 @@ impl Trace {
             total_nanos: u64,
         }
         let mut spans: BTreeMap<String, SpanAgg> = BTreeMap::new();
-        let mut counters: BTreeMap<String, u64> = BTreeMap::new();
         let mut lanes: Vec<String> = Vec::new();
         // Per-tid stack of (name, begin-ts) to pair B/E events.
         let mut stacks: BTreeMap<u32, Vec<(String, u64)>> = BTreeMap::new();
@@ -175,9 +138,6 @@ impl Trace {
                         agg.calls += 1;
                         agg.total_nanos += e.ts_nanos.saturating_sub(begin);
                     }
-                }
-                EventKind::Counter { delta } => {
-                    *counters.entry(e.name.to_string()).or_insert(0) += delta;
                 }
                 EventKind::Lane => lanes.push(e.name.to_string()),
                 _ => {}
@@ -201,12 +161,6 @@ impl Trace {
                     agg.calls,
                     agg.total_nanos as f64 / 1e6
                 );
-            }
-        }
-        if !counters.is_empty() {
-            let _ = writeln!(out, "counters:");
-            for (name, total) in counters {
-                let _ = writeln!(out, "  {name:<32} {total:>12}");
             }
         }
         if !lanes.is_empty() {

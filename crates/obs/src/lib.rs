@@ -9,17 +9,19 @@
 //!   per-run statistics snapshots (`SelectStats`, `PipelineStats`) are
 //!   *views over the same measurement* rather than parallel `Instant`
 //!   plumbing.
-//! * **Counters / gauges / instants** — named numeric streams
-//!   ([`counter`], [`gauge`], [`instant`], [`diag`]) that become Chrome
-//!   counter tracks and instant markers.
+//! * **Instants / diagnostics** — point-in-time markers ([`instant`],
+//!   [`diag`]) that become Chrome instant events. The recorder counts
+//!   nothing: every count lives in its owner's stats struct (`SelectStats`,
+//!   `StoreStats`, `IncStats`, `caymand`'s lifetime counters), which is
+//!   live whether or not tracing is on.
 //! * **Lanes** — [`lane`] names the calling thread (one lane per
 //!   work-stealing worker in the trace viewer).
 //! * **Histograms & metrics** — [`hist`] provides fixed-size log-bucketed
 //!   (HDR-style) latency histograms whose record path is lock- and
 //!   allocation-free, mergeable across threads and queryable for
 //!   p50/p90/p99/max; [`registry`] holds the *always-on* named
-//!   counter/gauge/histogram registry behind the Prometheus-style text
-//!   exposition ([`registry::MetricsSnapshot::to_prometheus`]), and
+//!   histograms behind the Prometheus-style text exposition
+//!   ([`registry::MetricsSnapshot::to_prometheus`]), and
 //!   [`promtext`] parses/validates that exposition for CI gates.
 //! * **Sinks** — [`drain`] freezes everything into a [`Trace`], exportable
 //!   as (a) a human summary, (b) JSONL events, and (c) a Chrome
@@ -53,9 +55,8 @@ pub mod trace;
 
 pub use export::Trace;
 pub use recorder::{
-    counter, diag, disable, drain, enable, enabled, flush_to_env, gauge, init_from_env, instant,
-    instant_with, lane, timed, timed_with, ArgValue, Event, EventKind, Name, SpanGuard, TimedSpan,
-    STRIPES,
+    diag, disable, drain, enable, enabled, flush_to_env, init_from_env, instant, instant_with,
+    lane, timed, timed_with, ArgValue, Event, EventKind, Name, SpanGuard, TimedSpan, STRIPES,
 };
 pub use time::thread_cpu_nanos;
 

@@ -73,6 +73,52 @@ impl Exposition {
             .map(|(n, _)| n.as_str())
             .collect()
     }
+
+    /// Whether a sample only ever grows: a declared counter, or the
+    /// `_bucket`/`_sum`/`_count` sample of a declared histogram.
+    fn is_cumulative(&self, sample: &str) -> bool {
+        if let Some(ty) = self.types.get(sample) {
+            return ty == "counter";
+        }
+        ["_bucket", "_sum", "_count"].iter().any(|suffix| {
+            sample
+                .strip_suffix(suffix)
+                .and_then(|family| self.types.get(family))
+                .is_some_and(|ty| ty == "histogram")
+        })
+    }
+}
+
+/// Checks that no cumulative series went backwards between two scrapes of
+/// one server: every counter and histogram sample in `earlier` must be in
+/// `later` with a value at least as large. Gauges may move either way.
+/// Returns how many series were compared.
+///
+/// # Errors
+///
+/// Names the first series that decreased or vanished.
+pub fn check_monotone(earlier: &Exposition, later: &Exposition) -> Result<usize, String> {
+    let now: BTreeMap<String, f64> = later
+        .samples
+        .iter()
+        .map(|s| (s.series_key(), s.value))
+        .collect();
+    let mut compared = 0;
+    for s in earlier
+        .samples
+        .iter()
+        .filter(|s| earlier.is_cumulative(&s.name))
+    {
+        let key = s.series_key();
+        match now.get(&key) {
+            None => return Err(format!("series {key} vanished")),
+            Some(&v) if v < s.value => {
+                return Err(format!("series {key} went backwards: {} -> {v}", s.value))
+            }
+            Some(_) => compared += 1,
+        }
+    }
+    Ok(compared)
 }
 
 /// Parses an exposition without semantic checks.
@@ -289,6 +335,33 @@ mod tests {
                     h_sum 50\nh_count 6\n";
         let err = validate(text).expect_err("count mismatch must fail");
         assert!(err.contains("!= _count"), "{err}");
+    }
+
+    #[test]
+    fn monotone_check_covers_counters_and_histograms_not_gauges() {
+        let earlier = validate(&sample_exposition()).expect("valid");
+        // requests +1, uptime down (a gauge may), one more histogram sample
+        let mut snap = MetricsSnapshot::default();
+        snap.push_counter("server.requests", 43);
+        snap.push_gauge("server.uptime.seconds", 1.0);
+        let h = Histogram::new();
+        for v in [3u64, 90, 90, 4096, 123_456_789, 5] {
+            h.record(v);
+        }
+        snap.push_hist("req.total.nanos", h.snapshot());
+        let later = validate(&snap.to_prometheus()).expect("valid");
+        let compared = check_monotone(&earlier, &later).expect("nothing went backwards");
+        let buckets = earlier.series("cayman_req_total_nanos_bucket").len();
+        assert_eq!(
+            compared,
+            1 + buckets + 2,
+            "counter + buckets + _sum + _count"
+        );
+
+        let err = check_monotone(&later, &earlier).expect_err("reversed scrapes go backwards");
+        assert!(err.contains("went backwards"), "{err}");
+        let err = check_monotone(&earlier, &Exposition::default()).expect_err("series vanished");
+        assert!(err.contains("vanished"), "{err}");
     }
 
     #[test]

@@ -1,43 +1,34 @@
-//! The global **metric registry**: named counters, gauges and
-//! [`Histogram`]s that are *always on* (unlike the event recorder, which
-//! only collects when tracing is enabled).
+//! The global **metric registry**: named [`Histogram`]s that are *always
+//! on* (unlike the event recorder, which only collects when tracing is
+//! enabled).
 //!
-//! Call sites register once ([`hist`], [`counter_handle`],
-//! [`gauge_handle`]) and keep the returned `&'static` handle; recording
-//! through a handle is a plain atomic operation — no lock, no allocation,
-//! no registry lookup. Registration itself takes the registry lock and
-//! leaks one small allocation per distinct name, which is the price of
-//! handing out `'static` handles.
+//! Call sites register once ([`hist`]) and keep the returned `&'static`
+//! handle; recording through a handle is a plain atomic operation — no
+//! lock, no allocation, no registry lookup. Registration itself takes the
+//! registry lock and leaks one small allocation per distinct name, which
+//! is the price of handing out `'static` handles.
 //!
-//! [`snapshot`] freezes every registered metric into a
-//! [`MetricsSnapshot`]; callers may append their own series (server
-//! counters, store/cache stats) before rendering the whole thing as a
-//! Prometheus-style text exposition with
+//! The registry holds no counters or gauges: those are counted by the
+//! per-instance stats struct that owns the fact (a server, a store), so
+//! two instances in one process never mix their counts. [`snapshot`]
+//! freezes every registered histogram into a [`MetricsSnapshot`]; the
+//! owners append their own series ([`MetricsSnapshot::push_counter`],
+//! [`MetricsSnapshot::push_gauge`]) before rendering the whole thing as
+//! a Prometheus-style text exposition with
 //! [`MetricsSnapshot::to_prometheus`].
 
 use crate::hist::{HistSnapshot, Histogram};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
-#[derive(Default)]
-struct Registry {
-    hists: Mutex<Vec<(&'static str, &'static Histogram)>>,
-    counters: Mutex<Vec<(&'static str, &'static AtomicU64)>>,
-    gauges: Mutex<Vec<(&'static str, &'static AtomicU64)>>, // f64 bits
-}
-
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::default)
-}
+static REGISTRY: Mutex<Vec<(&'static str, &'static Histogram)>> = Mutex::new(Vec::new());
 
 /// The registered histogram named `name`, registering an empty one on
 /// first use. The registry is process-global and entries live forever:
 /// fetch the handle once (startup / struct field), record through it on
 /// the hot path.
 pub fn hist(name: &'static str) -> &'static Histogram {
-    let mut hists = registry().hists.lock().expect("metric registry poisoned");
+    let mut hists = REGISTRY.lock().expect("metric registry poisoned");
     if let Some((_, h)) = hists.iter().find(|(n, _)| *n == name) {
         return h;
     }
@@ -46,67 +37,17 @@ pub fn hist(name: &'static str) -> &'static Histogram {
     h
 }
 
-/// The registered counter named `name` (a monotone `u64`; increment with
-/// `fetch_add`), registering a zeroed one on first use.
-pub fn counter_handle(name: &'static str) -> &'static AtomicU64 {
-    let mut counters = registry()
-        .counters
-        .lock()
-        .expect("metric registry poisoned");
-    if let Some((_, c)) = counters.iter().find(|(n, _)| *n == name) {
-        return c;
-    }
-    let c: &'static AtomicU64 = Box::leak(Box::new(AtomicU64::new(0)));
-    counters.push((name, c));
-    c
-}
-
-/// The registered gauge named `name` (an absolute `f64`, stored as bits;
-/// set with [`set_gauge`]), registering a zeroed one on first use.
-pub fn gauge_handle(name: &'static str) -> &'static AtomicU64 {
-    let mut gauges = registry().gauges.lock().expect("metric registry poisoned");
-    if let Some((_, g)) = gauges.iter().find(|(n, _)| *n == name) {
-        return g;
-    }
-    let g: &'static AtomicU64 = Box::leak(Box::new(AtomicU64::new(0f64.to_bits())));
-    gauges.push((name, g));
-    g
-}
-
-/// Stores `value` into a gauge handle.
-#[inline]
-pub fn set_gauge(gauge: &AtomicU64, value: f64) {
-    gauge.store(value.to_bits(), Ordering::Relaxed);
-}
-
-/// Freezes every registered metric, in registration order.
+/// Freezes every registered histogram, in registration order.
 pub fn snapshot() -> MetricsSnapshot {
-    let reg = registry();
-    let hists = reg
-        .hists
+    let hists = REGISTRY
         .lock()
         .expect("metric registry poisoned")
         .iter()
         .map(|(n, h)| (n.to_string(), h.snapshot()))
         .collect();
-    let counters = reg
-        .counters
-        .lock()
-        .expect("metric registry poisoned")
-        .iter()
-        .map(|(n, c)| (n.to_string(), c.load(Ordering::Relaxed)))
-        .collect();
-    let gauges = reg
-        .gauges
-        .lock()
-        .expect("metric registry poisoned")
-        .iter()
-        .map(|(n, g)| (n.to_string(), f64::from_bits(g.load(Ordering::Relaxed))))
-        .collect();
     MetricsSnapshot {
-        counters,
-        gauges,
         hists,
+        ..MetricsSnapshot::default()
     }
 }
 
@@ -215,13 +156,6 @@ mod tests {
         a.record(7);
         assert_eq!(b.count(), 1);
 
-        let c = counter_handle("test.registry.counter");
-        c.fetch_add(3, Ordering::Relaxed);
-        assert!(std::ptr::eq(c, counter_handle("test.registry.counter")));
-
-        let g = gauge_handle("test.registry.gauge");
-        set_gauge(g, 2.5);
-
         let snap = snapshot();
         let hist_snap = &snap
             .hists
@@ -230,14 +164,7 @@ mod tests {
             .expect("registered")
             .1;
         assert!(hist_snap.count() >= 1);
-        assert!(snap
-            .counters
-            .iter()
-            .any(|(n, v)| n == "test.registry.counter" && *v >= 3));
-        assert!(snap
-            .gauges
-            .iter()
-            .any(|(n, v)| n == "test.registry.gauge" && *v == 2.5));
+        assert!(snap.counters.is_empty() && snap.gauges.is_empty());
     }
 
     #[test]

@@ -243,8 +243,6 @@ pub struct TraceSummary {
     pub span_names: Vec<String>,
     /// Thread lane names from `thread_name` metadata events.
     pub lanes: Vec<String>,
-    /// Distinct counter track names.
-    pub counters: Vec<String>,
     /// Distinct instant marker names.
     pub instants: Vec<String>,
 }
@@ -274,7 +272,6 @@ pub fn validate_chrome(input: &str) -> Result<TraceSummary, String> {
     let mut stacks: BTreeMap<i64, Vec<String>> = BTreeMap::new();
     let mut last_ts: BTreeMap<i64, f64> = BTreeMap::new();
     let mut span_names: BTreeMap<String, ()> = BTreeMap::new();
-    let mut counters: BTreeMap<String, ()> = BTreeMap::new();
     let mut instants: BTreeMap<String, ()> = BTreeMap::new();
     for (i, e) in events.iter().enumerate() {
         let ph = e
@@ -322,9 +319,6 @@ pub fn validate_chrome(input: &str) -> Result<TraceSummary, String> {
                 }
                 summary.spans += 1;
             }
-            "C" => {
-                counters.insert(name, ());
-            }
             "i" | "I" => {
                 instants.insert(name, ());
             }
@@ -348,7 +342,6 @@ pub fn validate_chrome(input: &str) -> Result<TraceSummary, String> {
         }
     }
     summary.span_names = span_names.into_keys().collect();
-    summary.counters = counters.into_keys().collect();
     summary.instants = instants.into_keys().collect();
     summary.lanes.sort();
     summary.lanes.dedup();
@@ -400,7 +393,6 @@ mod tests {
         let ok = r#"{"traceEvents":[
             {"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"select.worker.0"}},
             {"name":"select.dp","ph":"B","ts":1.0,"pid":1,"tid":3},
-            {"name":"select.cache.hit","ph":"C","ts":1.5,"pid":1,"tid":3,"args":{"value":1}},
             {"name":"select.steal","ph":"i","ts":2.0,"pid":1,"tid":3,"s":"t"},
             {"name":"select.dp","ph":"E","ts":3.0,"pid":1,"tid":3}
         ],"displayTimeUnit":"ms"}"#;
@@ -408,7 +400,6 @@ mod tests {
         assert_eq!(s.spans, 1);
         assert_eq!(s.lanes, vec!["select.worker.0"]);
         assert!(s.has_span_prefix("select."));
-        assert_eq!(s.counters, vec!["select.cache.hit"]);
         assert_eq!(s.instants, vec!["select.steal"]);
     }
 }

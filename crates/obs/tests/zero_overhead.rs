@@ -74,8 +74,6 @@ static HIST: cayman_obs::hist::Histogram = cayman_obs::hist::Histogram::new();
 
 fn hot_path_iteration(i: usize) {
     let _g = cayman_obs::span!("select.task.bb", vertex = i);
-    cayman_obs::counter("select.cache.hit", 1);
-    cayman_obs::counter("select.cache.miss", 1);
     let t = cayman_obs::timed("model.accel");
     let nanos = t.finish();
     std::hint::black_box(nanos);

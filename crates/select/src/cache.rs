@@ -171,21 +171,6 @@ impl CacheStats {
         self.stripes.iter().filter(|s| s.entries > 0).count()
     }
 
-    /// The snapshot as named counter series, in the shape the metrics
-    /// exposition wants (`caymand`'s `Request::Metrics` pushes these
-    /// verbatim; `cache.entries` is a point-in-time value but rendered as
-    /// a counter series for uniformity of the aggregated snapshot).
-    pub fn counters(&self) -> [(&'static str, u64); 6] {
-        [
-            ("cache.mem.hits", self.hits()),
-            ("cache.mem.misses", self.misses()),
-            ("cache.mem.inserts", self.inserts()),
-            ("cache.entries", self.entries() as u64),
-            ("cache.disk.hits", self.disk_hits),
-            ("cache.disk.misses", self.disk_misses),
-        ]
-    }
-
     /// Accumulates another snapshot into this one (summary rows over many
     /// frameworks).
     pub fn merge(&mut self, other: &CacheStats) {
@@ -318,20 +303,6 @@ impl DesignCache {
         self.len() == 0
     }
 
-    /// Lifetime `(hits, misses)` over all lookups. A lookup answered by the
-    /// backing store counts as a memory-level miss here (the caller still
-    /// received designs; see [`DesignCache::stats`] to tell the levels
-    /// apart).
-    pub fn totals(&self) -> (u64, u64) {
-        let mut hits = 0;
-        let mut misses = 0;
-        for s in &self.stripes {
-            hits += s.hits.load(Ordering::Relaxed);
-            misses += s.misses.load(Ordering::Relaxed);
-        }
-        (hits, misses)
-    }
-
     /// Snapshot of every stripe's lifetime counters plus the store-level
     /// hit/miss totals.
     pub fn stats(&self) -> CacheStats {
@@ -398,14 +369,16 @@ mod tests {
         assert!(hit.is_empty());
         assert!(!from_backing, "no backing store attached");
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.totals(), (1, 1));
+        let stats = cache.stats();
+        assert_eq!((stats.hits(), stats.misses()), (1, 1));
         // distinct candidate → distinct entry
         assert!(cache.lookup(&key(0, 2)).is_none());
         cache.insert(key(0, 2), Vec::new());
         assert_eq!(cache.len(), 2);
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(cache.totals(), (0, 0));
+        let stats = cache.stats();
+        assert_eq!((stats.hits(), stats.misses()), (0, 0));
     }
 
     #[test]
@@ -459,14 +432,14 @@ mod tests {
             }
         });
         assert_eq!(cache.len(), 64 * 5, "64 seeded + 4×64 distinct inserts");
-        let (hits, misses) = cache.totals();
-        assert_eq!((hits, misses), (4 * 64, 0));
+        let stats = cache.stats();
+        assert_eq!((stats.hits(), stats.misses()), (4 * 64, 0));
         cache.clear();
         assert!(cache.is_empty());
     }
 
     #[test]
-    fn stats_snapshot_sums_match_totals() {
+    fn stats_snapshot_sums_over_stripes() {
         let cache = DesignCache::new();
         for i in 0..32 {
             cache.lookup(&key(i, 1));
@@ -475,7 +448,6 @@ mod tests {
         }
         let stats = cache.stats();
         assert_eq!(stats.stripes.len(), STRIPES);
-        assert_eq!((stats.hits(), stats.misses()), cache.totals());
         assert_eq!(stats.hits(), 32);
         assert_eq!(stats.misses(), 32);
         assert_eq!(stats.inserts(), 32);

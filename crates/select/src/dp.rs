@@ -360,14 +360,12 @@ pub fn run_selection_with_fronts(
             };
             if let Some(hit) = key.as_ref().and_then(|k| fronts.map.get(k)) {
                 fronts.hits += 1;
-                cayman_obs::counter("select.front.hit", 1);
                 child_fronts.push(Arc::clone(hit));
                 continue;
             }
             let front = Arc::new(engine.dp(u));
             if let Some(key) = key {
                 fronts.misses += 1;
-                cayman_obs::counter("select.front.miss", 1);
                 fronts.map.insert(key, Arc::clone(&front));
             }
             child_fronts.push(front);
@@ -507,11 +505,9 @@ impl Engine<'_> {
                 if from_backing {
                     AtomicStats::add_u64(&self.stats.disk_hits, 1);
                 }
-                cayman_obs::counter("select.cache.hit", 1);
                 return hit;
             }
             AtomicStats::add_u64(&self.stats.cache_misses, 1);
-            cayman_obs::counter("select.cache.miss", 1);
         }
         // Label the invocation by function, vertex, and region kind — the
         // same naming trace spans use, so the printed top-k and the trace

@@ -48,9 +48,12 @@ pub struct SelectStats {
     /// Of the `cache_hits`, those this run promoted from the cache's
     /// backing store (a disk hit, counted by the run that made it).
     pub disk_hits: u64,
-    /// Nanoseconds spent inside the accelerator model, summed over threads.
+    /// Wall-clock nanoseconds inside `accel` model spans, summed over
+    /// threads. Not CPU time: when `threads` exceeds the free cores, a
+    /// thread preempted inside a span still counts the time it waited.
     pub model_nanos: u64,
-    /// Nanoseconds spent in Pareto combine/filter, summed over threads.
+    /// Wall-clock nanoseconds inside Pareto combine/filter spans, summed
+    /// over threads (preemption inflates it like [`Self::model_nanos`]).
     pub combine_nanos: u64,
     /// End-to-end wall-clock nanoseconds of the selection run.
     pub wall_nanos: u64,
@@ -96,15 +99,17 @@ impl SelectStats {
         self.wall_nanos as f64 * 1e-9
     }
 
-    /// Seconds spent in the accelerator model (CPU time summed over
-    /// threads, so this can exceed [`wall_seconds`](Self::wall_seconds) when
-    /// `threads > 1`).
+    /// Seconds of wall time inside the accelerator model, summed over
+    /// threads, so this can exceed [`wall_seconds`](Self::wall_seconds)
+    /// when `threads > 1`. Not CPU time: on an oversubscribed host it
+    /// includes preemption; read it from a `threads = 1` run to attribute
+    /// work.
     pub fn model_seconds(&self) -> f64 {
         self.model_nanos as f64 * 1e-9
     }
 
-    /// Seconds spent combining/filtering Pareto sequences (summed over
-    /// threads).
+    /// Seconds of wall time combining/filtering Pareto sequences, summed
+    /// over threads (wall time like [`model_seconds`](Self::model_seconds)).
     pub fn combine_seconds(&self) -> f64 {
         self.combine_nanos as f64 * 1e-9
     }

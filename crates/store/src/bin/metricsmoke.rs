@@ -1,18 +1,31 @@
-//! CI gate for the metrics surface (ISSUE 10 satellite): boots `caymand`
-//! in-process with a `--metrics-file`-style periodic dump, hammers it with
-//! N concurrent clients, scrapes METRICS over the wire, and validates the
-//! exposition with the dependency-free parser — rejecting duplicate
-//! series, non-monotone histogram buckets, and `_sum`/`_count`
-//! inconsistencies. Also asserts the periodic dump file validates and that
-//! per-phase histogram counts cover every request the clients sent.
+//! CI gate for the metrics surface: boots `caymand` in-process with a
+//! `--metrics-file`-style periodic dump, hammers it with N concurrent
+//! clients, scrapes METRICS over the wire, and validates the exposition
+//! with the dependency-free parser — rejecting duplicate series,
+//! non-monotone histogram buckets, and `_sum`/`_count` inconsistencies.
+//! Also asserts the periodic dump file validates and that per-phase
+//! histogram counts cover every request the clients sent.
+//!
+//! A second server keeps only [`EVICT_WINDOW`] frameworks warm and is sent
+//! more distinct kernels than that, scraped after each SELECT: no counter
+//! series may go down when a framework is evicted, and the server's
+//! design-cache misses must equal the sum of the replies' own counts.
 //!
 //! Exits non-zero (panics) on any violation; prints one OK line otherwise.
 
 use cayman_obs::promtext;
 use cayman_store::{serve, Client, Endpoint, ServerOptions};
+use std::path::Path;
 
 const CLIENTS: usize = 6;
 const REQS_PER_CLIENT: usize = 8;
+
+/// Warm frameworks the eviction server keeps.
+const EVICT_WINDOW: usize = 2;
+/// Corpus kernels the eviction server is sent, in order. Kernel 1 misses
+/// the design cache more than kernel 0, so the third SELECT evicts the
+/// framework with the larger count.
+const EVICT_KERNELS: [usize; 3] = [1, 2, 0];
 
 fn main() {
     cayman_obs::init_from_env();
@@ -96,9 +109,52 @@ fn main() {
 
     client.shutdown_server().expect("shutdown");
     server.wait();
+    let compared = eviction_keeps_counters_monotone(&tmp);
     let _ = std::fs::remove_dir_all(&tmp);
     println!(
         "metricsmoke: OK ({CLIENTS} clients x {REQS_PER_CLIENT} reqs, exposition valid on the \
-         wire and in the dump file, {total} requests in the phase histograms)"
+         wire and in the dump file, {total} requests in the phase histograms; {compared} \
+         cumulative series non-decreasing across {} evicting SELECTs)",
+        EVICT_KERNELS.len()
     );
+}
+
+/// Runs the eviction scenario and returns how many counter and histogram
+/// series the scrape-to-scrape checks compared.
+fn eviction_keeps_counters_monotone(tmp: &Path) -> usize {
+    let server = serve(
+        Endpoint::Unix(tmp.join("caymand-evict.sock")),
+        ServerOptions {
+            max_frameworks: EVICT_WINDOW,
+            ..Default::default()
+        },
+    )
+    .expect("eviction server starts");
+    let corpus = cayman::workloads::corpus::corpus();
+    let mut client = Client::connect(server.endpoint()).expect("client connects");
+    let scrape = |c: &mut Client| {
+        promtext::validate(&c.metrics().expect("metrics").text)
+            .unwrap_or_else(|e| panic!("exposition invalid: {e}"))
+    };
+    let mut last = scrape(&mut client);
+    let mut compared = 0;
+    let mut misses = 0;
+    for i in EVICT_KERNELS {
+        let text = corpus[i].module.to_text();
+        misses += client.select_text(&text).expect("select").cache_misses;
+        let now = scrape(&mut client);
+        compared += promtext::check_monotone(&last, &now)
+            .unwrap_or_else(|e| panic!("after selecting {}: {e}", corpus[i].name));
+        last = now;
+    }
+    let evictions = (EVICT_KERNELS.len() - EVICT_WINDOW) as f64;
+    assert_eq!(last.value("cayman_server_fw_evictions"), Some(evictions));
+    assert_eq!(
+        last.value("cayman_server_select_cache_misses"),
+        Some(misses as f64),
+        "server design-cache misses are the sum of the replies' own counts"
+    );
+    client.shutdown_server().expect("shutdown");
+    server.wait();
+    compared
 }

@@ -1,4 +1,4 @@
-//! CI smoke for the server + store (ISSUE 9 satellite): boots `caymand`
+//! CI smoke for the server + store: boots `caymand`
 //! in-process on a Unix socket with a fresh store directory, submits a
 //! corpus kernel over the socket, and asserts
 //!
@@ -10,10 +10,11 @@
 //!    bit-identical front with **zero cold `accel(v, R)` evaluations** —
 //!    the designs come off disk (disk-warm), proven by the request
 //!    counters and the store's hit counter,
-//! 4. (ISSUE 10) the telemetry surface works end-to-end: HEALTH and
-//!    METRICS round-trip, the exposition **validates** (no duplicate
-//!    series, monotone histogram buckets) and carries the per-phase
-//!    request histograms, reply request ids are the server's sequence,
+//! 4. the telemetry surface works end-to-end: HEALTH and METRICS
+//!    round-trip, the exposition **validates** (no duplicate series,
+//!    monotone histogram buckets) and carries the per-phase request
+//!    histograms, the server's design-cache misses are the sum of its
+//!    replies' own counts, reply request ids are the server's sequence,
 //!    and the slow-request log (forced on with a 0ms threshold) names
 //!    the same ids in its stable `slow-req id=…` format.
 //!
@@ -77,7 +78,7 @@ fn main() {
     let store_stats = stats.store.expect("store attached");
     assert!(store_stats.writes > 0, "cold run persisted designs");
 
-    // ---- telemetry surface (ISSUE 10) ----
+    // ---- telemetry surface ----
     let health = client.health().expect("health");
     assert!(health.healthy, "server reports healthy");
     assert!(health.uptime_nanos > 0, "uptime advances");
@@ -111,9 +112,14 @@ fn main() {
         exp.value("cayman_server_requests").unwrap_or(0.0) >= 5.0,
         "server request counter is exported"
     );
-    assert!(
-        exp.value("cayman_cache_mem_inserts").unwrap_or(0.0) > 0.0,
-        "design-cache counters are exported"
+    let misses = exp
+        .value("cayman_server_select_cache_misses")
+        .expect("design-cache misses are exported");
+    assert!(misses > 0.0, "the cold select missed the design cache");
+    assert_eq!(
+        misses,
+        (cold.cache_misses + warm.cache_misses) as f64,
+        "server misses are the sum of the replies' own counts"
     );
     assert!(
         exp.value("cayman_store_writes").unwrap_or(0.0) > 0.0,

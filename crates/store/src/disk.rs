@@ -93,10 +93,8 @@ impl StoreOptions {
 /// Lifetime counters of one [`DiskStore`] handle.
 ///
 /// These are the store's own atomics (always counted, independent of
-/// whether `cayman-obs` tracing is enabled) so tests and the server can
-/// assert on them; every bump is mirrored to the obs counters
-/// `store.hit` / `store.miss` / `store.corrupt` / `store.evict` /
-/// `store.write`.
+/// whether `cayman-obs` tracing is enabled) and the only count of these
+/// events: tests assert on them and `caymand` exports them as `store.*`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Loads answered with a decoded entry.
@@ -238,14 +236,12 @@ impl DiskStore {
             Err(_) => {
                 // absent (the common cold case) or unreadable — a miss
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                cayman_obs::counter("store.miss", 1);
                 return None;
             }
         };
         match codec::decode_entry(&bytes, kb) {
             Ok(designs) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                cayman_obs::counter("store.hit", 1);
                 // refresh the LRU clock (best-effort; mtime is advisory)
                 if let Ok(f) = fs::File::options().append(true).open(path) {
                     let _ = f.set_modified(SystemTime::now());
@@ -256,7 +252,6 @@ impl DiskStore {
                 match err {
                     DecodeError::VersionMismatch(_) => {
                         self.version_skew.fetch_add(1, Ordering::Relaxed);
-                        cayman_obs::counter("store.version_skew", 1);
                         // written by another format generation: unlink so
                         // this generation can re-persist under the address
                         let _ = fs::remove_file(path);
@@ -265,17 +260,14 @@ impl DiskStore {
                         // a *valid* entry for a different key shares our
                         // address; leave it (last-writer-wins on save)
                         self.key_mismatches.fetch_add(1, Ordering::Relaxed);
-                        cayman_obs::counter("store.key_mismatch", 1);
                     }
                     _ => {
                         self.corrupt.fetch_add(1, Ordering::Relaxed);
-                        cayman_obs::counter("store.corrupt", 1);
                         cayman_obs::diag("store.corrupt", || format!("{}: {err}", path.display()));
                         let _ = fs::remove_file(path);
                     }
                 }
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                cayman_obs::counter("store.miss", 1);
                 None
             }
         }
@@ -291,7 +283,6 @@ impl DiskStore {
         let path = self.entry_path(&Self::address(&kb));
         if self.save_at(&path, &bytes).is_ok() {
             self.writes.fetch_add(1, Ordering::Relaxed);
-            cayman_obs::counter("store.write", 1);
             let tick = self.write_tick.fetch_add(1, Ordering::Relaxed) + 1;
             if tick.is_multiple_of(self.opts.sweep_every) {
                 self.sweep();
@@ -389,7 +380,6 @@ impl DiskStore {
                     total = total.saturating_sub(len);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                     self.evicted_bytes.fetch_add(len, Ordering::Relaxed);
-                    cayman_obs::counter("store.evict", 1);
                 }
             }
         }

@@ -36,7 +36,7 @@ use crate::wire::{
 };
 use cayman::{CaymanError, Framework, SelectOptions};
 use cayman_obs::hist::Histogram;
-use cayman_select::{CacheStats, DesignStoreBackend};
+use cayman_select::DesignStoreBackend;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -251,6 +251,11 @@ struct Shared {
     requests: AtomicU64,
     fw_hits: AtomicU64,
     fw_misses: AtomicU64,
+    fw_evictions: AtomicU64,
+    /// Design-cache hits and misses summed over every SELECT's own
+    /// `SelectStats`, so they never go down when a framework is evicted.
+    select_cache_hits: AtomicU64,
+    select_cache_misses: AtomicU64,
     timeouts: AtomicU64,
     slow: AtomicU64,
     next_request_id: AtomicU64,
@@ -272,12 +277,10 @@ impl Shared {
             if let Some((fw, used)) = cache.map.get_mut(&fp) {
                 *used = tick;
                 self.fw_hits.fetch_add(1, Ordering::Relaxed);
-                cayman_obs::counter("server.fw.hit", 1);
                 return Ok((Arc::clone(fw), true));
             }
         }
         self.fw_misses.fetch_add(1, Ordering::Relaxed);
-        cayman_obs::counter("server.fw.miss", 1);
         let span = cayman_obs::timed("server.analyse");
         let mut fw = Framework::from_text(text)?;
         if let Some(store) = &self.store {
@@ -299,7 +302,7 @@ impl Shared {
         if cache.map.len() > self.max_frameworks {
             if let Some((&evict, _)) = cache.map.iter().min_by_key(|(_, (_, used))| *used) {
                 cache.map.remove(&evict);
-                cayman_obs::counter("server.fw.evict", 1);
+                self.fw_evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
         Ok((fw, false))
@@ -327,11 +330,10 @@ impl Shared {
                             let res = fw.select(&self.select);
                             phases.select_nanos = select_t.elapsed().as_nanos() as u64;
                             self.hists.select.record(phases.select_nanos);
-                            if res.stats.configs_evaluated == 0 {
-                                cayman_obs::counter("server.select.warm", 1);
-                            } else {
-                                cayman_obs::counter("server.select.cold", 1);
-                            }
+                            self.select_cache_hits
+                                .fetch_add(res.stats.cache_hits, Ordering::Relaxed);
+                            self.select_cache_misses
+                                .fetch_add(res.stats.cache_misses, Ordering::Relaxed);
                             Response::Select(SelectReply {
                                 request_id,
                                 front: res.pareto,
@@ -403,31 +405,38 @@ impl Shared {
     }
 
     /// Assembles the Prometheus-style exposition: the global metric
-    /// registry (per-phase request histograms) plus server lifetime
-    /// counters, the design-cache counters aggregated over every warm
-    /// framework, and the store's counters when one is attached.
+    /// registry (per-phase request histograms) plus the server's lifetime
+    /// counters, its warm-framework gauges, and the store's counters when
+    /// one is attached. Every counter is a server- or store-lifetime
+    /// total, so no series goes down between scrapes.
     fn metrics_text(&self) -> String {
         let mut snap = cayman_obs::registry::snapshot();
         snap.push_counter("server.requests", self.requests.load(Ordering::Relaxed));
         snap.push_counter("server.fw.hits", self.fw_hits.load(Ordering::Relaxed));
         snap.push_counter("server.fw.misses", self.fw_misses.load(Ordering::Relaxed));
+        snap.push_counter(
+            "server.fw.evictions",
+            self.fw_evictions.load(Ordering::Relaxed),
+        );
+        snap.push_counter(
+            "server.select.cache_hits",
+            self.select_cache_hits.load(Ordering::Relaxed),
+        );
+        snap.push_counter(
+            "server.select.cache_misses",
+            self.select_cache_misses.load(Ordering::Relaxed),
+        );
         snap.push_counter("server.timeout", self.timeouts.load(Ordering::Relaxed));
         snap.push_counter("server.slow", self.slow.load(Ordering::Relaxed));
         snap.push_gauge(
             "server.uptime.seconds",
             self.started.elapsed().as_secs_f64(),
         );
-        let cache = {
+        {
             let fws = self.frameworks.lock().expect("framework cache poisoned");
             snap.push_gauge("server.fw.cached", fws.map.len() as f64);
-            let mut agg = CacheStats::default();
-            for (fw, _) in fws.map.values() {
-                agg.merge(&fw.cache_stats());
-            }
-            agg
-        };
-        for (name, value) in cache.counters() {
-            snap.push_counter(name, value);
+            let designs: usize = fws.map.values().map(|(fw, _)| fw.cache_len()).sum();
+            snap.push_gauge("server.fw.designs", designs as f64);
         }
         if let Some(store) = &self.store {
             let s = store.stats();
@@ -523,7 +532,6 @@ fn handle_conn(shared: &Shared, mut stream: Stream) {
                 ) =>
             {
                 shared.timeouts.fetch_add(1, Ordering::Relaxed);
-                cayman_obs::counter("server.timeout", 1);
                 return;
             }
             Err(_) => return, // broken peer
@@ -670,6 +678,9 @@ pub fn serve(endpoint: Endpoint, opts: ServerOptions) -> Result<ServerHandle, Wi
         requests: AtomicU64::new(0),
         fw_hits: AtomicU64::new(0),
         fw_misses: AtomicU64::new(0),
+        fw_evictions: AtomicU64::new(0),
+        select_cache_hits: AtomicU64::new(0),
+        select_cache_misses: AtomicU64::new(0),
         timeouts: AtomicU64::new(0),
         slow: AtomicU64::new(0),
         next_request_id: AtomicU64::new(0),

@@ -128,19 +128,18 @@ fn bit_flipped_entry_is_a_clean_miss_with_obs_counter() {
     );
     assert_eq!(store.stats().corrupt, 1);
     assert_eq!(store.stats().hits, 0);
-    let corrupt_events: u64 = trace
-        .events
-        .iter()
-        .filter_map(|e| match e.kind {
-            cayman_obs::EventKind::Counter { delta } if e.name.to_string() == "store.corrupt" => {
-                Some(delta)
-            }
-            _ => None,
-        })
-        .sum();
+    let entry = path.display().to_string();
+    let diag_names_entry = trace.events.iter().any(|e| {
+        e.kind == cayman_obs::EventKind::Instant
+            && e.name.to_string() == "store.corrupt"
+            && e.args.iter().any(|(k, v)| {
+                *k == "message"
+                    && matches!(v, cayman_obs::ArgValue::Str(m) if m.starts_with(&entry))
+            })
+    });
     assert!(
-        corrupt_events >= 1,
-        "store.corrupt obs counter must fire on corruption"
+        diag_names_entry,
+        "the store.corrupt diag must fire on corruption and name the entry"
     );
     let _ = fs::remove_dir_all(&dir);
 }

@@ -330,3 +330,46 @@ fn concurrent_disk_hits_add_up_to_the_store_hits() {
     server.wait();
     let _ = std::fs::remove_dir_all(&store_dir);
 }
+
+#[test]
+fn evicting_a_framework_sends_no_counter_backwards() {
+    use cayman_obs::promtext;
+    let sock = tmp_path("evict.sock");
+    let opts = ServerOptions {
+        max_frameworks: 1,
+        ..Default::default()
+    };
+    let server = serve(Endpoint::Unix(sock), opts).expect("serve");
+    let mut client = Client::connect(server.endpoint()).expect("connect");
+    let scrape = |c: &mut Client| {
+        promtext::validate(&c.metrics().expect("metrics").text).expect("exposition validates")
+    };
+
+    let (large, large_name) = corpus_text(1);
+    let (small, small_name) = corpus_text(0);
+    let first = client
+        .select_text(&large)
+        .expect("select the larger kernel");
+    let before = scrape(&mut client);
+    // with room for one framework, this SELECT evicts the first one
+    let second = client
+        .select_text(&small)
+        .expect("select the smaller kernel");
+    let after = scrape(&mut client);
+    assert!(
+        first.cache_misses > second.cache_misses,
+        "{large_name} must miss more than {small_name}, or dropping it from the LRU \
+         could not show a count going down"
+    );
+
+    let compared = promtext::check_monotone(&before, &after).unwrap_or_else(|e| panic!("{e}"));
+    assert!(compared > 0, "the first scrape held counter series");
+    assert_eq!(after.value("cayman_server_fw_evictions"), Some(1.0));
+    assert_eq!(
+        after.value("cayman_server_select_cache_misses"),
+        Some((first.cache_misses + second.cache_misses) as f64),
+        "server misses are the sum of the replies' own counts"
+    );
+    client.shutdown_server().expect("shutdown");
+    server.wait();
+}
